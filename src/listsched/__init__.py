@@ -6,108 +6,19 @@ for adversarial job families, and a harness that measures competitive
 ratios against the greedy 2 - 1/m guarantee.
 """
 
-from .families import (
-    FAMILY_TAGS,
-    GeneratedFamily,
-    gen_class1,
-    gen_class2,
-    gen_faigle,
-    gen_graham_tight,
-    generate,
-    save_family,
-)
-from .harness import (
-    BoundCheckSummary,
-    BoundViolation,
-    RatioReport,
-    Table2Row,
-    WorstOrderResult,
-    competitive_ratio,
-    export_long_csv,
-    export_report,
-    table2,
-    verify_bound,
-    worst_order_search,
-)
-from .model import (
-    SQRT2,
-    ArrivalOrder,
-    Instance,
-    InstanceParseError,
-    Job,
-    Schedule,
-    Time,
-    as_time,
-    format_instance,
-    format_time,
-    load_instance,
-    makespan,
-    parse_instance,
-    parse_time,
-    save_instance,
-    sqrt2_sign,
-    total_load,
-    validate_schedule,
-)
-from .online import Lsa, OnlinePolicy, TraceStep, lsa_step, run_online, trace_jsonl
-from .oracle import (
-    OptResult,
-    lower_bound,
-    lpt_makespan,
-    opt_exact,
-    opt_structured,
-)
+from . import families, harness, model, online, oracle
+from .families import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .online import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Time",
-    "SQRT2",
-    "sqrt2_sign",
-    "as_time",
-    "parse_time",
-    "Job",
-    "Instance",
-    "ArrivalOrder",
-    "Schedule",
-    "makespan",
-    "total_load",
-    "validate_schedule",
-    "InstanceParseError",
-    "parse_instance",
-    "format_instance",
-    "format_time",
-    "load_instance",
-    "save_instance",
-    "OnlinePolicy",
-    "Lsa",
-    "lsa_step",
-    "TraceStep",
-    "run_online",
-    "trace_jsonl",
-    "OptResult",
-    "lower_bound",
-    "lpt_makespan",
-    "opt_exact",
-    "opt_structured",
-    "FAMILY_TAGS",
-    "GeneratedFamily",
-    "gen_class1",
-    "gen_class2",
-    "gen_graham_tight",
-    "gen_faigle",
-    "generate",
-    "save_family",
-    "RatioReport",
-    "WorstOrderResult",
-    "BoundViolation",
-    "BoundCheckSummary",
-    "Table2Row",
-    "competitive_ratio",
-    "worst_order_search",
-    "table2",
-    "verify_bound",
-    "export_report",
-    "export_long_csv",
-    "__version__",
-]
+# each module's __all__ is the one list of its public names
+__all__ = ["__version__"]
+__all__ += model.__all__
+__all__ += online.__all__
+__all__ += oracle.__all__
+__all__ += families.__all__
+__all__ += harness.__all__

@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -24,6 +25,7 @@ from .families import GeneratedFamily, generate
 from .harness import (
     BoundViolation,
     RatioReport,
+    _write_atomic,
     competitive_ratio,
     export_report,
     table2,
@@ -90,7 +92,7 @@ def _emit(text: str, output: Optional[str]) -> None:
     else:
         destination = _out_path(output)
         destination.parent.mkdir(parents=True, exist_ok=True)
-        destination.write_text(text, encoding="utf-8")
+        _write_atomic(destination, text)
 
 
 def _resolve_instance(
@@ -165,20 +167,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    rows = table2(args.machines)
+    rows = [asdict(row) for row in table2(args.machines)]
     if args.format == "json":
-        payload = [
-            {"m": r.m, "class1_ratio": r.class1_ratio, "class2_ratio": r.class2_ratio}
-            for r in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("m", "class1_ratio", "class2_ratio"))
-        for row in rows:
-            writer.writerow((row.m, row.class1_ratio, row.class2_ratio))
-        _emit(buffer.getvalue(), args.output)
+        _emit(json.dumps(rows, indent=2) + "\n", args.output)
+        return 0
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _emit(buffer.getvalue(), args.output)
     return 0
 
 

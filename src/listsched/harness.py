@@ -8,12 +8,12 @@ rounded half-up to four places.
 from __future__ import annotations
 
 import csv
-import hashlib
-import heapq
 import io
 import json
 import os
 import random
+import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +32,7 @@ from .multiperm import (
     permutation_count,
     unrank_permutation,
 )
-from .online import Lsa, OnlinePolicy, run_online
+from .online import Lsa, OnlinePolicy, greedy, online_makespan
 from .oracle import (
     OPT_ANALYTIC,
     OptResult,
@@ -70,6 +70,8 @@ REPORT_COLUMNS = (
 
 def instance_digest(instance: Instance) -> str:
     """Short content hash identifying an instance in reports."""
+    import hashlib  # loaded on first use: it maps all of OpenSSL (~4 MiB)
+
     text = format_instance(instance)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
@@ -130,7 +132,7 @@ def competitive_ratio(
         order = ArrivalOrder.as_listed(instance)
     if policy is None:
         policy = Lsa()
-    schedule, _ = run_online(instance, order, policy)
+    alg_makespan = online_makespan(instance, order, policy)
     opt = opt_exact(instance) if node_budget is None else opt_exact(
         instance, node_budget
     )
@@ -144,7 +146,7 @@ def competitive_ratio(
                 )
         else:
             opt = OptResult(analytic, OPT_ANALYTIC, 0)
-    ratio = schedule.makespan / opt.value
+    ratio = alg_makespan / opt.value
     if opt.is_exact and ratio < 1:
         raise RuntimeError(
             f"ratio {ratio} below 1 against an exact optimum; "
@@ -159,7 +161,7 @@ def competitive_ratio(
         label=label,
         m=instance.machines,
         policy=policy.name,
-        alg_makespan=schedule.makespan,
+        alg_makespan=alg_makespan,
         opt=opt,
         ratio=ratio,
         ratio_4dp=ratio.decimal(4),
@@ -197,64 +199,62 @@ def worst_order_search(
         raise ValueError("enumeration_cap must be at least 1")
     if policy is None:
         policy = Lsa()
-    pools: dict[Time, list[int]] = {}
-    for job in sorted(instance.jobs, key=lambda j: j.id):
-        pools.setdefault(job.size, []).append(job.id)
-    sizes = [job.size for job in instance.jobs]
-    total = permutation_count(sizes)
-    if total <= enumeration_cap:
-        sequences = iter_permutations(sizes)
-        examined = total
-        exhaustive = True
+    # Sizes become codes 0..k-1 in increasing order: the map is monotone,
+    # so lexicographic order, ranks and tie-breaks are those of the sizes.
+    lanes = instance.lanes
+    distinct = sorted(set(lanes.sizes.values()))
+    code = {size: c for c, size in enumerate(distinct)}
+    codes = [code[size] for size in lanes.sizes.values()]
+    pools: list[list[int]] = [[] for _ in distinct]
+    for job_id, size in sorted(lanes.sizes.items()):
+        pools[code[size]].append(job_id)
+    total = permutation_count(codes)
+    exhaustive = total <= enumeration_cap
+    if exhaustive:
+        sequences = iter_permutations(codes)
     else:
         rng = random.Random(seed)
-        ranks = sorted(rng.sample(range(total), enumeration_cap))
-        sequences = (unrank_permutation(sizes, r) for r in ranks)
-        examined = enumeration_cap
-        exhaustive = False
-
-    def realize(sequence: Sequence[Time]) -> tuple[int, ...]:
-        taken = {size: 0 for size in pools}
-        ids = []
-        for size in sequence:
-            ids.append(pools[size][taken[size]])
-            taken[size] += 1
-        return tuple(ids)
-
-    greedy = isinstance(policy, Lsa)
-    high = greedy and policy.tie_break == "high"
-    m = instance.machines
-    best_makespan: Optional[Time] = None
-    best_ids: Optional[tuple[int, ...]] = None
-    for sequence in sequences:
-        ids: Optional[tuple[int, ...]] = None
-        if greedy:
-            value = _greedy_makespan(sequence, m, high)
+        if total <= sys.maxsize:
+            ranks = rng.sample(range(total), enumeration_cap)
         else:
+            # range() has no len() past sys.maxsize; with far fewer draws
+            # than ranks, a repeat is rare and is simply drawn again
+            ranks = set()
+            while len(ranks) < enumeration_cap:
+                ranks.add(rng.randrange(total))
+        sequences = (unrank_permutation(codes, r) for r in sorted(ranks))
+
+    def realize(sequence: Sequence[int]) -> tuple[int, ...]:
+        # the k-th occurrence of a code takes the k-th smallest id of its pool
+        taken = [iter(pool) for pool in pools]
+        return tuple([next(taken[c]) for c in sequence])
+
+    if isinstance(policy, Lsa):
+        start, to_time = [lanes.zero] * instance.machines, lanes.time
+
+        def makespan(sequence: Sequence[int]):
+            return max(greedy(sequence, distinct, list(start), policy.high))
+
+    else:
+        to_time = Time
+
+        def makespan(sequence: Sequence[int]):
+            order = ArrivalOrder(realize(sequence))
+            return online_makespan(instance, order, policy)
+
+    best = best_ids = None
+    for sequence in sequences:
+        value = makespan(sequence)
+        if best is None or best < value:
+            best, best_ids = value, realize(sequence)
+        elif value == best:
             ids = realize(sequence)
-            schedule, _ = run_online(instance, ArrivalOrder(ids), policy)
-            value = schedule.makespan
-        if best_makespan is None or best_makespan < value:
-            best_makespan = value
-            best_ids = ids if ids is not None else realize(sequence)
-        elif value == best_makespan:
-            if ids is None:
-                ids = realize(sequence)
             if ids < best_ids:
                 best_ids = ids
+    examined = total if exhaustive else enumeration_cap
     return WorstOrderResult(
-        ArrivalOrder(best_ids), best_makespan, examined, exhaustive
+        ArrivalOrder(best_ids), to_time(best), examined, exhaustive
     )
-
-
-def _greedy_makespan(sizes: Sequence[Time], m: int, high: bool) -> Time:
-    # heap replay without trace bookkeeping; used only inside the search
-    heap = [(Time(0), -k if high else k) for k in range(m)]
-    heapq.heapify(heap)
-    for size in sizes:
-        load, key = heap[0]
-        heapq.heapreplace(heap, (load + size, key))
-    return max(load for load, _ in heap)
 
 
 @dataclass(frozen=True)
@@ -274,23 +274,12 @@ def table2(machine_counts: Sequence[int]) -> list[Table2Row]:
     for m in machine_counts:
         if m < 2:
             raise ValueError(f"machine count must be at least 2, got {m}")
-        reports = table2_reports(m)
-        rows.append(Table2Row(m, reports[0].ratio_4dp, reports[1].ratio_4dp))
-    return rows
-
-
-def table2_reports(m: int) -> tuple[RatioReport, RatioReport]:
-    """The class1 and class2 worst-order reports for one machine count."""
-    out = []
-    for family in (gen_class1(m), gen_class2(m)):
-        out.append(
-            competitive_ratio(
-                family.instance,
-                family.worst_order,
-                family_tag=family.family_tag,
-            )
+        class1, class2 = (
+            competitive_ratio(f.instance, f.worst_order, family_tag=f.family_tag)
+            for f in (gen_class1(m), gen_class2(m))
         )
-    return out[0], out[1]
+        rows.append(Table2Row(m, class1.ratio_4dp, class2.ratio_4dp))
+    return rows
 
 
 class BoundViolation(AssertionError):
@@ -443,11 +432,21 @@ def export_long_csv(
 
 
 def _write_atomic(destination: Path, text: str) -> None:
-    tmp = destination.with_name(destination.name + ".tmp")
+    """Write text to destination through a uniquely named temporary file in
+    the same directory, renamed into place: a failed write leaves neither a
+    partial file nor the temporary one, and concurrent writers never share
+    a temporary file."""
+    fd, tmp = tempfile.mkstemp(
+        dir=destination.parent, prefix=f".{destination.name}.", suffix=".tmp"
+    )
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(fd, "w", encoding="utf-8") as out:
+            # mkstemp makes the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            out.write(text)
         os.replace(tmp, destination)
-    except OSError:
-        if tmp.exists():
-            tmp.unlink()
+    except BaseException:
+        os.unlink(tmp)
         raise

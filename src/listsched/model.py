@@ -10,12 +10,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 TimeLike = Union["Time", int, Fraction, str]
+Operand = Union["Time", int, Fraction]
 
 __all__ = [
     "Time",
@@ -26,6 +28,7 @@ __all__ = [
     "format_time",
     "Job",
     "Instance",
+    "Lanes",
     "ArrivalOrder",
     "Schedule",
     "build_schedule",
@@ -104,6 +107,10 @@ class Time:
             other = parse_time(value)
             self._a, self._b, self._d = other._a, other._b, other._d
             return
+        if not isinstance(sqrt2_coeff, (int, Fraction)) or not isinstance(
+            value, (Time, int, Fraction)
+        ):
+            raise TypeError(f"not an exact quantity: {value!r}, {sqrt2_coeff!r}")
         if isinstance(value, Time):
             ra = Fraction(value._a, value._d)
             rb = Fraction(value._b, value._d)
@@ -147,7 +154,7 @@ class Time:
             raise ValueError(f"{self} has an irrational part")
         return Fraction(self._a, self._d)
 
-    def __add__(self, other: TimeLike) -> "Time":
+    def __add__(self, other: Operand) -> "Time":
         if type(other) is Time:
             sd, od = self._d, other._d
             return Time._make(
@@ -161,7 +168,7 @@ class Time:
 
     __radd__ = __add__
 
-    def __sub__(self, other: TimeLike) -> "Time":
+    def __sub__(self, other: Operand) -> "Time":
         o = _coerce(other)
         if o is None:
             return NotImplemented
@@ -171,7 +178,7 @@ class Time:
             raise ValueError(f"negative quantity: {self} - {o}")
         return Time._make(a, b, self._d * o._d)
 
-    def __mul__(self, other: TimeLike) -> "Time":
+    def __mul__(self, other: Operand) -> "Time":
         o = _coerce(other)
         if o is None:
             return NotImplemented
@@ -184,7 +191,7 @@ class Time:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: TimeLike) -> "Time":
+    def __truediv__(self, other: Operand) -> "Time":
         o = _coerce(other)
         if o is None:
             return NotImplemented
@@ -208,28 +215,28 @@ class Time:
             self._b * x.denominator,
         )
 
-    def __lt__(self, other: TimeLike) -> bool:
+    def __lt__(self, other: Operand) -> bool:
         if type(other) is Time:
             return self._cmp_time(other) < 0
         if isinstance(other, (int, Fraction)):
             return self._cmp_rational(Fraction(other)) < 0
         return NotImplemented
 
-    def __le__(self, other: TimeLike) -> bool:
+    def __le__(self, other: Operand) -> bool:
         if type(other) is Time:
             return self._cmp_time(other) <= 0
         if isinstance(other, (int, Fraction)):
             return self._cmp_rational(Fraction(other)) <= 0
         return NotImplemented
 
-    def __gt__(self, other: TimeLike) -> bool:
+    def __gt__(self, other: Operand) -> bool:
         if type(other) is Time:
             return self._cmp_time(other) > 0
         if isinstance(other, (int, Fraction)):
             return self._cmp_rational(Fraction(other)) > 0
         return NotImplemented
 
-    def __ge__(self, other: TimeLike) -> bool:
+    def __ge__(self, other: Operand) -> bool:
         if type(other) is Time:
             return self._cmp_time(other) >= 0
         if isinstance(other, (int, Fraction)):
@@ -279,18 +286,18 @@ class Time:
         return f"Time({_render(self._a, self._b, self._d, compact=True)!r})"
 
 
-def _coerce(value: TimeLike) -> Optional[Time]:
+def _coerce(value: object) -> Optional[Time]:
+    """The operand of an operator as a Time: every operator takes exactly
+    Time, int and Fraction (floats and strings are refused alike)."""
     if type(value) is Time:
         return value
     if isinstance(value, (int, Fraction)):
         return Time(value)
-    if isinstance(value, str):
-        return parse_time(value)
     return None
 
 
 def as_time(value: TimeLike) -> Time:
-    t = _coerce(value)
+    t = parse_time(value) if isinstance(value, str) else _coerce(value)
     if t is None:
         raise TypeError(f"cannot interpret {value!r} as a time quantity")
     return t
@@ -340,7 +347,7 @@ def parse_time(text: str) -> Time:
 SQRT2 = Time(0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Job:
     """A job with an immutable identity and a strictly positive size."""
 
@@ -352,6 +359,24 @@ class Job:
             object.__setattr__(self, "size", as_time(self.size))
         if not self.size:
             raise ValueError(f"job {self.id} must have positive size")
+
+
+class Lanes(NamedTuple):
+    """An instance's job sizes lowered once for the hot loops.
+
+    When every size is rational, each becomes an int count of 1/scale
+    units (scale is the least common denominator), so loads add and compare
+    as plain ints; otherwise the sizes stay Time and scale is 0. Lane values
+    of either kind support exactly + and the comparisons, and time() turns
+    a load back into a Time at the edge.
+    """
+
+    sizes: dict  # job id -> size as a lane value
+    zero: Union[int, Time]
+    scale: int
+
+    def time(self, value: Union[int, Time]) -> Time:
+        return Time._make(value, 0, self.scale) if self.scale else value
 
 
 @dataclass(frozen=True)
@@ -367,12 +392,11 @@ class Instance:
             raise ValueError("an instance needs at least two machines")
         if not self.jobs:
             raise ValueError("an instance needs at least one job")
-        by_id = {}
+        seen = set()
         for job in self.jobs:
-            if job.id in by_id:
+            if job.id in seen:
                 raise ValueError(f"duplicate job id {job.id}")
-            by_id[job.id] = job
-        object.__setattr__(self, "_by_id", by_id)
+            seen.add(job.id)
 
     @classmethod
     def from_sizes(cls, sizes: Sequence[TimeLike], machines: int) -> "Instance":
@@ -394,6 +418,21 @@ class Instance:
 
     def job(self, job_id: int) -> Job:
         return self._by_id[job_id]
+
+    # Derived state is built on first use: the greedy paths read only the
+    # lanes, and a caller that keeps many instances keeps neither map unused.
+    @cached_property
+    def _by_id(self) -> dict[int, Job]:
+        return {job.id: job for job in self.jobs}
+
+    @cached_property
+    def lanes(self) -> Lanes:
+        """The job sizes as lane values."""
+        sizes = {job.id: job.size for job in self.jobs}
+        if any(t._b for t in sizes.values()):
+            return Lanes(sizes, Time(0), 0)
+        scale = lcm(*{t._d for t in sizes.values()})
+        return Lanes({i: t._a * (scale // t._d) for i, t in sizes.items()}, 0, scale)
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -443,22 +482,10 @@ class Schedule:
 
 def build_schedule(instance: Instance, assignment: Mapping[int, int]) -> Schedule:
     """Construct a schedule from a job-id -> machine map, checking it fully."""
-    loads = [Time(0) for _ in range(instance.machines)]
-    seen = set()
-    for job_id, machine in assignment.items():
-        try:
-            job = instance.job(job_id)
-        except KeyError:
-            raise ValueError(f"assignment mentions unknown job {job_id}") from None
-        if not 1 <= machine <= instance.machines:
-            raise ValueError(f"job {job_id} assigned to invalid machine {machine}")
-        loads[machine - 1] = loads[machine - 1] + job.size
-        seen.add(job_id)
-    missing = set(instance.job_ids) - seen
-    if missing:
-        raise ValueError(f"assignment leaves jobs unplaced: {sorted(missing)}")
-    loads_t = tuple(loads)
-    return Schedule(dict(assignment), loads_t, max(loads_t))
+    loads = _implied_loads(instance, assignment)
+    if isinstance(loads, str):
+        raise ValueError(loads)
+    return Schedule(dict(assignment), loads, max(loads))
 
 
 def makespan(schedule: Schedule) -> Time:
@@ -473,6 +500,25 @@ def total_load(instance: Instance) -> Time:
     return result
 
 
+def _implied_loads(
+    instance: Instance, assignment: Mapping[int, int]
+) -> Union[tuple[Time, ...], str]:
+    """The machine loads an assignment implies, or what is wrong with it."""
+    loads = [Time(0)] * instance.machines
+    for job_id, machine in assignment.items():
+        try:
+            job = instance.job(job_id)
+        except KeyError:
+            return f"assignment mentions unknown job {job_id}"
+        if not 1 <= machine <= instance.machines:
+            return f"job {job_id} assigned to invalid machine {machine}"
+        loads[machine - 1] = loads[machine - 1] + job.size
+    missing = set(instance.job_ids) - set(assignment)
+    if missing:
+        return f"jobs never assigned: {sorted(missing)}"
+    return tuple(loads)
+
+
 def validate_schedule(instance: Instance, schedule: Schedule) -> Optional[str]:
     """Return None when the schedule is consistent, else a diagnostic string."""
     if len(schedule.loads) != instance.machines:
@@ -480,22 +526,9 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> Optional[str]:
             f"schedule has {len(schedule.loads)} loads for "
             f"{instance.machines} machines"
         )
-    expected = [Time(0) for _ in range(instance.machines)]
-    seen = set()
-    for job_id, machine in schedule.assignment.items():
-        try:
-            job = instance.job(job_id)
-        except KeyError:
-            return f"assignment mentions unknown job {job_id}"
-        if job_id in seen:
-            return f"job {job_id} assigned twice"
-        seen.add(job_id)
-        if not 1 <= machine <= instance.machines:
-            return f"job {job_id} assigned to invalid machine {machine}"
-        expected[machine - 1] = expected[machine - 1] + job.size
-    missing = set(instance.job_ids) - seen
-    if missing:
-        return f"jobs never assigned: {sorted(missing)}"
+    expected = _implied_loads(instance, schedule.assignment)
+    if isinstance(expected, str):
+        return expected
     for k, (want, got) in enumerate(zip(expected, schedule.loads), start=1):
         if want != got:
             return f"machine {k} load is {got}, assignment implies {want}"

@@ -55,12 +55,12 @@ def iter_permutations(items: Sequence[T]) -> Iterator[tuple[T, ...]]:
 def rank_permutation(sequence: Sequence[T]) -> int:
     """Zero-based index of this arrangement in lexicographic order."""
     counts = Counter(sequence)
+    keys = sorted(counts)
     remaining = permutation_count(sequence)
     n = len(sequence)
     rank = 0
     for pos, value in enumerate(sequence):
-        chosen_block = 0
-        for item in sorted(counts):
+        for item in keys:
             if counts[item] == 0:
                 continue
             # arrangements of the suffix that start with this item
@@ -68,9 +68,8 @@ def rank_permutation(sequence: Sequence[T]) -> int:
             if item < value:
                 rank += block
             else:
-                chosen_block = block
+                remaining = block
                 break
-        remaining = chosen_block
         counts[value] -= 1
     return rank
 
@@ -78,13 +77,14 @@ def rank_permutation(sequence: Sequence[T]) -> int:
 def unrank_permutation(items: Sequence[T], rank: int) -> tuple[T, ...]:
     """The arrangement at the given zero-based lexicographic index."""
     counts = Counter(items)
+    keys = sorted(counts)
     remaining = permutation_count(items)
     if not 0 <= rank < max(remaining, 1):
         raise ValueError(f"rank {rank} out of range for {remaining} permutations")
     n = len(items)
     out: list[T] = []
     for pos in range(n):
-        for item in sorted(counts):
+        for item in keys:
             if counts[item] == 0:
                 continue
             block = remaining * counts[item] // (n - pos)

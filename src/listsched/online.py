@@ -6,11 +6,12 @@ assignment, which is what all ratio guarantees here are stated for.
 """
 from __future__ import annotations
 
-import heapq
 import json
 from abc import ABC, abstractmethod
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from heapq import heapify, heapreplace
+from typing import Optional
 
 from .model import ArrivalOrder, Instance, Job, Schedule, Time, format_time
 
@@ -18,10 +19,37 @@ __all__ = [
     "OnlinePolicy",
     "Lsa",
     "lsa_step",
+    "greedy",
     "TraceStep",
+    "Trace",
     "run_online",
+    "online_makespan",
     "trace_jsonl",
 ]
+
+
+def greedy(order, size_of, loads: list, high: bool = False, steps=None) -> list:
+    """The greedy kernel: place each item of order on a least-loaded machine.
+
+    size_of[item] is the item's size (items are job ids or size codes);
+    loads holds every machine's starting load and is updated in place and
+    returned. Equal loads go to the lowest machine index, or the highest
+    when high is set. Sizes and loads may be ints or Time: the kernel only
+    adds and compares them. When steps is a list, one (item, machine,
+    new_load) triple per placement is appended to it, machine 1-based.
+    """
+    # the key orders equal loads by the tie-break; abs(key) is the index
+    heap = [(load, -k if high else k) for k, load in enumerate(loads)]
+    heapify(heap)
+    for item in order:
+        load, key = heap[0]
+        load = load + size_of[item]
+        heapreplace(heap, (load, key))
+        if steps is not None:
+            steps.append((item, abs(key) + 1, load))
+    for load, key in heap:
+        loads[abs(key)] = load
+    return loads
 
 
 class OnlinePolicy(ABC):
@@ -38,21 +66,6 @@ class OnlinePolicy(ABC):
         raise NotImplementedError
 
 
-def lsa_step(loads: Sequence[Time], job: Optional[Job] = None) -> int:
-    """Least-loaded machine, lowest index on ties (1-based).
-
-    The job argument is accepted for signature compatibility with policies
-    but does not influence the greedy choice.
-    """
-    if len(loads) < 2:
-        raise ValueError("need at least two machines")
-    best = 0
-    for k in range(1, len(loads)):
-        if loads[k] < loads[best]:
-            best = k
-    return best + 1
-
-
 class Lsa(OnlinePolicy):
     """Greedy least-loaded assignment.
 
@@ -66,18 +79,25 @@ class Lsa(OnlinePolicy):
         if tie_break not in ("low", "high"):
             raise ValueError(f"tie_break must be 'low' or 'high', not {tie_break!r}")
         self.tie_break = tie_break
+        self.high = tie_break == "high"
         self.name = "LSA" if tie_break == "low" else "LSA-high"
 
     def choose(self, loads: Sequence[Time], job: Optional[Job] = None) -> int:
-        if self.tie_break == "low":
-            return lsa_step(loads, job)
         if len(loads) < 2:
             raise ValueError("need at least two machines")
-        best = 0
-        for k in range(1, len(loads)):
-            if not loads[best] < loads[k]:
-                best = k
-        return best + 1
+        # the machine the kernel picks for an item of size zero
+        steps: list = []
+        greedy((0,), (0,), list(loads), self.high, steps)
+        return steps[0][1]
+
+
+def lsa_step(loads: Sequence[Time], job: Optional[Job] = None) -> int:
+    """Least-loaded machine, lowest index on ties (1-based).
+
+    The job argument is accepted for signature compatibility with policies
+    but does not influence the greedy choice.
+    """
+    return Lsa().choose(loads, job)
 
 
 @dataclass(frozen=True)
@@ -90,76 +110,86 @@ class TraceStep:
     loads_after: tuple[Time, ...]
 
 
+class Trace(Sequence):
+    """The TraceSteps of one run, stored as (job, machine, new_load) triples.
+
+    The load vectors of each step are rebuilt when the trace is read, so a
+    run whose trace is never read pays O(n) for it rather than O(n*m).
+    """
+
+    def __init__(self, steps: list, machines: int, to_time: Callable):
+        self._steps, self._machines, self._to_time = steps, machines, to_time
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def __iter__(self) -> Iterator[TraceStep]:
+        loads = [Time(0)] * self._machines
+        before = tuple(loads)
+        for job_id, machine, load in self._steps:
+            loads[machine - 1] = self._to_time(load)
+            after = tuple(loads)
+            yield TraceStep(job_id, machine, before, after)
+            before = after
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, (Trace, list)) and list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 def run_online(
     instance: Instance,
     order: ArrivalOrder,
     policy: Optional[OnlinePolicy] = None,
-) -> tuple[Schedule, list[TraceStep]]:
+) -> tuple[Schedule, Trace]:
     """Feed the jobs to the policy in arrival order and record every step.
 
     The order must be a permutation of the instance's job ids; that is
     checked before any placement happens. The returned trace always has one
     step per job, in arrival order.
     """
-    if policy is None:
-        policy = Lsa()
+    steps: list = []
+    loads, to_time = _place(instance, order, policy, steps)
+    assignment = {job_id: machine for job_id, machine, _ in steps}
+    schedule = Schedule(assignment, loads, max(loads))
+    return schedule, Trace(steps, instance.machines, to_time)
+
+
+def online_makespan(
+    instance: Instance,
+    order: ArrivalOrder,
+    policy: Optional[OnlinePolicy] = None,
+) -> Time:
+    """The makespan run_online reports, without its assignment or trace."""
+    return max(_place(instance, order, policy, None)[0])
+
+
+def _place(instance, order, policy, steps) -> tuple[tuple[Time, ...], Callable]:
+    """Final loads as Time, and how to turn the loads in steps into Time."""
     if not order.covers(instance):
         raise ValueError("arrival order is not a permutation of the instance's jobs")
-    if isinstance(policy, Lsa):
-        return _run_greedy(instance, order, policy.tie_break == "high")
-    return _run_generic(instance, order, policy)
-
-
-def _run_generic(
-    instance: Instance, order: ArrivalOrder, policy: OnlinePolicy
-) -> tuple[Schedule, list[TraceStep]]:
     m = instance.machines
+    if policy is None or isinstance(policy, Lsa):
+        lanes = instance.lanes
+        high = policy is not None and policy.high
+        loads = greedy(order.permutation, lanes.sizes, [lanes.zero] * m, high, steps)
+        return tuple(map(lanes.time, loads)), lanes.time
     loads = [Time(0)] * m
-    assignment: dict[int, int] = {}
-    trace: list[TraceStep] = []
-    before = tuple(loads)
     for job_id in order.permutation:
         job = instance.job(job_id)
-        machine = policy.choose(before, job)
+        machine = policy.choose(tuple(loads), job)
         if not isinstance(machine, int) or not 1 <= machine <= m:
             raise RuntimeError(
                 f"policy {policy.name} chose invalid machine {machine!r}"
             )
         loads[machine - 1] = loads[machine - 1] + job.size
-        after = tuple(loads)
-        trace.append(TraceStep(job_id, machine, before, after))
-        assignment[job_id] = machine
-        before = after
-    return Schedule(assignment, before, max(before)), trace
-
-
-def _run_greedy(
-    instance: Instance, order: ArrivalOrder, high: bool
-) -> tuple[Schedule, list[TraceStep]]:
-    # Heap of (load, key) where key encodes the tie-break direction; this
-    # replaces the O(m) scan per job and keeps long sweeps fast.
-    m = instance.machines
-    zero = Time(0)
-    heap = [(zero, -k if high else k) for k in range(m)]
-    heapq.heapify(heap)
-    heapreplace = heapq.heapreplace
-    job_of = instance.job
-    loads = [zero] * m
-    assignment: dict[int, int] = {}
-    trace: list[TraceStep] = []
-    append = trace.append
-    before = tuple(loads)
-    for job_id in order.permutation:
-        load, key = heap[0]
-        k = -key if high else key
-        new_load = load + job_of(job_id).size
-        heapreplace(heap, (new_load, key))
-        loads[k] = new_load
-        after = tuple(loads)
-        append(TraceStep(job_id, k + 1, before, after))
-        assignment[job_id] = k + 1
-        before = after
-    return Schedule(assignment, before, max(before)), trace
+        if steps is not None:
+            steps.append((job_id, machine, loads[machine - 1]))
+    return tuple(loads), Time
 
 
 def trace_jsonl(trace: Sequence[TraceStep]) -> str:

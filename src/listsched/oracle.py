@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import ArrivalOrder, Instance, Schedule, Time
-from .online import Lsa, run_online
+from .online import run_online
 
 __all__ = [
     "OPT_EXACT",
@@ -56,27 +56,24 @@ class OptResult:
 
 def lower_bound(instance: Instance) -> Time:
     """max(total load / m, largest job size): no schedule finishes sooner."""
-    total = Time(0)
-    largest = instance.jobs[0].size
-    for job in instance.jobs:
-        total = total + job.size
-        if largest < job.size:
-            largest = job.size
-    average = total / instance.machines
+    lanes = instance.lanes
+    sizes = lanes.sizes.values()
+    average = lanes.time(sum(sizes, lanes.zero)) / instance.machines
+    largest = lanes.time(max(sizes))
     return average if largest < average else largest
 
 
 def lpt_order(instance: Instance) -> ArrivalOrder:
     """Jobs sorted by non-increasing size, ties by ascending id."""
-    ascending = sorted(instance.jobs, key=lambda job: job.id)
+    size = instance.lanes.sizes
     # sorted() is stable, so equal sizes keep their ascending-id order
-    descending = sorted(ascending, key=lambda job: job.size, reverse=True)
-    return ArrivalOrder(tuple(job.id for job in descending))
+    descending = sorted(sorted(size), key=size.__getitem__, reverse=True)
+    return ArrivalOrder(tuple(descending))
 
 
 def lpt_makespan(instance: Instance) -> tuple[Time, Schedule]:
     """Greedy least-loaded assignment over the LPT order."""
-    schedule, _ = run_online(instance, lpt_order(instance), Lsa())
+    schedule, _ = run_online(instance, lpt_order(instance))
     return schedule.makespan, schedule
 
 

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import random
 
-from listsched.model import ArrivalOrder, Instance, Time
+from listsched.model import ArrivalOrder, Instance, Schedule, Time
+from listsched.online import TraceStep
 
 
 def naive_opt(instance: Instance) -> Time:
@@ -40,6 +41,30 @@ def naive_opt(instance: Instance) -> Time:
     walk(0)
     value = best[0]
     return value if isinstance(value, Time) else Time(value)
+
+
+def reference_greedy(
+    instance: Instance, order: ArrivalOrder, high: bool = False
+) -> tuple[Schedule, list[TraceStep]]:
+    """Greedy least-loaded placement by a plain scan over Time loads.
+
+    Independent of the package's heap kernel and integer lanes on purpose:
+    it is the reference the kernel is checked against. Ties go to the
+    lowest machine index, or the highest when high is set.
+    """
+    loads = [Time(0)] * instance.machines
+    assignment = {}
+    trace = []
+    for job_id in order.permutation:
+        best = 0
+        for k in range(1, len(loads)):
+            if loads[k] < loads[best] or (high and loads[k] == loads[best]):
+                best = k
+        before = tuple(loads)
+        loads[best] = loads[best] + instance.job(job_id).size
+        assignment[job_id] = best + 1
+        trace.append(TraceStep(job_id, best + 1, before, tuple(loads)))
+    return Schedule(assignment, tuple(loads), max(loads)), trace
 
 
 def random_instance(

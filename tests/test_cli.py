@@ -156,10 +156,37 @@ def test_output_written_to_file(tmp_path, capsys):
     assert target.read_text() == "m,class1_ratio,class2_ratio\n2,1.0000,1.2500\n"
 
 
+def test_failed_output_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "table.csv"
+    target.write_text("previous\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", refuse)
+    assert main(["table2", "--machines", "2", "--output", str(target)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert target.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
 def test_relative_output_resolves_against_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_VAR, str(tmp_path))
     assert main(["table2", "--machines", "2", "--output", "reports/t2.csv"]) == 0
     assert (tmp_path / "reports" / "t2.csv").exists()
+
+
+def test_worst_order_past_sys_maxsize_orders(tmp_path, capsys):
+    # 21 distinct sizes: 21! arrival orders, more than sys.maxsize
+    path = tmp_path / "distinct.txt"
+    path.write_text("m=3\n" + "".join(f"{k}\n" for k in range(1, 22)))
+    argv = ["worst-order", "--instance", str(path), "--cap", "30", "--seed", "7"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert first.err == ""
+    assert first.out.startswith("orders examined: 30 (sampled)\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first.out
 
 
 def test_module_entry_point():

@@ -13,6 +13,7 @@ from listsched.families import gen_class1, gen_class2, gen_faigle, gen_graham_ti
 from listsched.harness import (
     BoundViolation,
     REPORT_COLUMNS,
+    _write_atomic,
     competitive_ratio,
     export_long_csv,
     export_report,
@@ -294,6 +295,21 @@ def test_export_report_is_deterministic_and_atomic(tmp_path):
         export_report([report], destination=missing_dir)
     assert not missing_dir.exists()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_atomic_write_failure_leaves_no_partial_or_temp_file(tmp_path):
+    out = tmp_path / "report.csv"
+    with pytest.raises(UnicodeEncodeError):
+        _write_atomic(out, "m,family\n\ud800")  # fails while writing
+    assert list(tmp_path.iterdir()) == []
+
+    _write_atomic(out, "first\n")
+    _write_atomic(out, "second\n")
+    assert out.read_text() == "second\n"
+    assert list(tmp_path.iterdir()) == [out]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    assert out.stat().st_mode == plain.stat().st_mode  # same mode as open()
 
 
 def test_export_long_csv(tmp_path):

@@ -88,6 +88,40 @@ def test_scaling_by_rationals():
     assert sum([Time(1), SQRT2], Time(0)) == Time(1, 1)
 
 
+def test_floats_are_rejected():
+    for bad in ((0.1,), (1, 0.5), (1.0,)):
+        with pytest.raises(TypeError):
+            Time(*bad)
+    with pytest.raises(TypeError):
+        Job(1, 0.5)
+
+
+@pytest.mark.parametrize("operand", ["1", 1.0, 0.5, None])
+def test_every_operator_refuses_the_same_operands(operand):
+    t = Time(2, 1)
+    for op in (
+        lambda: t + operand,
+        lambda: t - operand,
+        lambda: t * operand,
+        lambda: t / operand,
+        lambda: t < operand,
+        lambda: t <= operand,
+        lambda: t > operand,
+        lambda: t >= operand,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert t != operand
+
+
+def test_every_operator_takes_ints_and_fractions():
+    t = Time(2, 1)
+    for operand in (1, Fraction(1, 2), Time(1)):
+        assert t + operand - operand == t
+        assert (t * operand) / operand == t
+        assert t > operand and t >= operand and not t < operand and not t <= operand
+
+
 def test_comparisons_mix_time_and_rationals():
     assert 1 < SQRT2 < 2
     assert SQRT2 < Fraction(3, 2)

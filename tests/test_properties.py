@@ -1,0 +1,112 @@
+"""Property tests: the greedy kernel, the coded order search, rank/unrank."""
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import permutations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_greedy
+from listsched.harness import worst_order_search
+from listsched.model import ArrivalOrder, Instance, Time
+from listsched.multiperm import (
+    iter_permutations,
+    permutation_count,
+    rank_permutation,
+    unrank_permutation,
+)
+from listsched.online import Lsa, online_makespan, run_online, trace_jsonl
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+# Few distinct values, so equal loads (and tie-breaks) are common.
+RATIONAL_SIZES = [Time(Fraction(k, q)) for k in (1, 2, 3, 5, 7) for q in (1, 2, 3, 4)]
+SQRT2_SIZES = RATIONAL_SIZES[:6] + [
+    Time(a, b) for a in (0, 1, 2) for b in (Fraction(1, 2), 1, Fraction(3, 2))
+]
+
+
+@st.composite
+def instances(draw, max_n: int = 9, max_m: int = 5) -> Instance:
+    pool = draw(st.sampled_from([RATIONAL_SIZES, SQRT2_SIZES]))
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_n))
+    return Instance.from_sizes(sizes, draw(st.integers(2, max_m)))
+
+
+@st.composite
+def instances_with_order(draw) -> tuple[Instance, ArrivalOrder]:
+    instance = draw(instances())
+    return instance, ArrivalOrder(tuple(draw(st.permutations(instance.job_ids))))
+
+
+@PROPERTY
+@given(instances_with_order(), st.sampled_from(["low", "high"]))
+def test_kernel_matches_reference_scan(case, tie_break):
+    instance, order = case
+    schedule, trace = run_online(instance, order, Lsa(tie_break))
+    want_schedule, want_trace = reference_greedy(instance, order, tie_break == "high")
+    assert schedule == want_schedule
+    assert trace == want_trace
+    assert trace[-1] == want_trace[-1]
+    assert trace_jsonl(trace) == trace_jsonl(want_trace)
+    assert online_makespan(instance, order, Lsa(tie_break)) == want_schedule.makespan
+
+
+def _reference_worst(instance, tie_break, orders):
+    """(worst makespan, smallest job-id order reaching it) over orders."""
+    best = best_ids = None
+    for ids in orders:
+        schedule, _ = reference_greedy(instance, ArrivalOrder(ids), tie_break == "high")
+        value = schedule.makespan
+        if best is None or best < value or (value == best and ids < best_ids):
+            best, best_ids = value, ids
+    return best, best_ids
+
+
+@PROPERTY
+@given(instances(max_n=5, max_m=3), st.sampled_from(["low", "high"]))
+def test_coded_search_matches_plain_enumeration(instance, tie_break):
+    result = worst_order_search(instance, Lsa(tie_break))
+    orders = sorted(permutations(instance.job_ids))
+    assert result.exhaustive
+    size_orders = {tuple(instance.job(i).size for i in ids) for ids in orders}
+    assert result.orders_examined == len(size_orders)
+    assert (result.worst_makespan, result.best_order.permutation) == _reference_worst(
+        instance, tie_break, orders
+    )
+
+
+@PROPERTY
+@given(instances(max_n=8, max_m=3), st.integers(1, 30), st.integers(0, 2**31))
+def test_sampled_search_draws_the_ranks_of_the_sizes(instance, cap, seed):
+    sizes = [job.size for job in instance.jobs]
+    total = permutation_count(sizes)
+    result = worst_order_search(instance, enumeration_cap=cap, seed=seed)
+    if total <= cap:
+        assert result.exhaustive
+        return
+    # the same seeded ranks, unranked over the sizes themselves
+    ranks = sorted(random.Random(seed).sample(range(total), cap))
+    pools = {}
+    for job in instance.jobs:
+        pools.setdefault(job.size, []).append(job.id)
+    orders = []
+    for rank in ranks:
+        taken = {size: iter(ids) for size, ids in pools.items()}
+        orders.append(tuple(next(taken[s]) for s in unrank_permutation(sizes, rank)))
+    assert not result.exhaustive and result.orders_examined == cap
+    assert (result.worst_makespan, result.best_order.permutation) == _reference_worst(
+        instance, "low", orders
+    )
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(RATIONAL_SIZES[:3] + SQRT2_SIZES[-2:]), max_size=6))
+def test_rank_and_unrank_are_a_bijection(items):
+    listed = list(iter_permutations(items))
+    assert len(listed) == permutation_count(items) == len(set(permutations(items)))
+    for rank, arrangement in enumerate(listed):
+        assert unrank_permutation(items, rank) == arrangement
+        assert rank_permutation(arrangement) == rank
