@@ -12,8 +12,6 @@ Relative --output paths resolve against $LISTSCHED_OUTPUT_DIR when set.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -25,6 +23,7 @@ from .families import GeneratedFamily, generate
 from .harness import (
     BoundViolation,
     RatioReport,
+    _csv_text,
     _write_atomic,
     competitive_ratio,
     export_report,
@@ -170,12 +169,8 @@ def cmd_table2(args: argparse.Namespace) -> int:
     rows = [asdict(row) for row in table2(args.machines)]
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", args.output)
-        return 0
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _emit(buffer.getvalue(), args.output)
+    else:
+        _emit(_csv_text(rows[0].keys(), map(dict.values, rows)), args.output)
     return 0
 
 

@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .families import gen_class1, gen_class2
 from .model import (
@@ -34,6 +34,7 @@ from .multiperm import (
 )
 from .online import Lsa, OnlinePolicy, greedy, online_makespan
 from .oracle import (
+    DEFAULT_NODE_BUDGET,
     OPT_ANALYTIC,
     OptResult,
     opt_exact,
@@ -133,9 +134,9 @@ def competitive_ratio(
     if policy is None:
         policy = Lsa()
     alg_makespan = online_makespan(instance, order, policy)
-    opt = opt_exact(instance) if node_budget is None else opt_exact(
-        instance, node_budget
-    )
+    if node_budget is None:
+        node_budget = DEFAULT_NODE_BUDGET
+    opt = opt_exact(instance, node_budget)
     if family_tag in ("class1", "class2"):
         analytic = opt_structured(family_tag, instance.machines)
         if opt.is_exact:
@@ -390,12 +391,7 @@ def export_report(
     partial file behind.
     """
     if format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for report in reports:
-            writer.writerow(_report_row(report))
-        text = buffer.getvalue()
+        text = _csv_text(REPORT_COLUMNS, map(_report_row, reports))
     elif format == "json":
         payload = []
         for report in reports:
@@ -420,15 +416,22 @@ def export_long_csv(
     destination: Union[str, Path, None] = None,
 ) -> str:
     """Plot-ready long format: one (m, family, ratio) row per report."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("m", "family", "ratio"))
-    for report in reports:
-        writer.writerow((report.m, report.label, report.ratio_4dp))
-    text = buffer.getvalue()
+    text = _csv_text(
+        ("m", "family", "ratio"),
+        ((report.m, report.label, report.ratio_4dp) for report in reports),
+    )
     if destination is not None:
         _write_atomic(Path(destination), text)
     return text
+
+
+def _csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """A header line, then one line per row, each ended by a bare newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _write_atomic(destination: Path, text: str) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import ArrivalOrder, Instance, Schedule, Time
-from .online import run_online
+from .online import online_makespan, run_online
 
 __all__ = [
     "OPT_EXACT",
@@ -86,65 +86,65 @@ def opt_exact(
 
     Nodes are placement attempts. If the budget runs out the result
     degrades honestly to kind='lower-bound-only' with the load lower
-    bound as value. symmetry_breaking=False disables the machine-symmetry
-    and equal-load prunes; it exists so tests can confirm the prunes never
-    change the value.
+    bound as value. The search is a loop over per-job arrays, so no
+    recursion limit caps the number of jobs. It places a job on each
+    distinct load at most once; sizes are positive, so unused machines
+    all have load 0 and a job opens at most one of them.
+    symmetry_breaking=False turns that equal-load prune off; it exists so
+    tests can confirm the prune never changes the value.
     """
     if node_budget < 0:
         raise ValueError("node_budget must be non-negative")
     lb = lower_bound(instance)
-    incumbent, _ = lpt_makespan(instance)
-    if incumbent == lb:
-        return OptResult(incumbent, OPT_CERTIFIED, 0)
+    best = online_makespan(instance, lpt_order(instance))
+    if best == lb:
+        return OptResult(best, OPT_CERTIFIED, 0)
 
     m = instance.machines
     sizes = sorted((job.size for job in instance.jobs), reverse=True)
     n = len(sizes)
-    state = {"best": incumbent, "nodes": 0, "aborted": False}
     loads = [Time(0)] * m
-
-    def dfs(i: int, used: int) -> None:
-        if state["aborted"] or state["best"] == lb:
-            return
+    # per job: the next machine to try, its load before the job, loads tried
+    next_machine = [0] * n
+    load_before = [Time(0)] * n
+    tried: list[list[Time]] = [[] for _ in range(n)]
+    nodes = 0
+    i = 0
+    while i >= 0:
         if i == n:
             # every placement along this branch stayed below the incumbent
-            state["best"] = max(loads)
-            return
-        size = sizes[i]
-        tried: list[Time] = []
-        # a job may open at most one fresh machine; the rest are symmetric
-        limit = m
-        if symmetry_breaking and used < m:
-            limit = used + 1
-        for k in range(limit):
+            best = max(loads)
+            if best == lb:
+                break
+            i -= 1
+            continue
+        k = next_machine[i]
+        if k:
+            # back from job i + 1: take job i off the machine it was on
+            loads[k - 1] = load_before[i]
+        while k < m:
             load = loads[k]
-            if symmetry_breaking:
-                duplicate = False
-                for t in tried:
-                    if t == load:
-                        duplicate = True
-                        break
-                if duplicate:
-                    continue
-                tried.append(load)
-            new = load + size
-            if not new < state["best"]:
+            k += 1
+            if symmetry_breaking and load in tried[i]:
                 continue
-            state["nodes"] += 1
-            if state["nodes"] > node_budget:
-                state["aborted"] = True
-                return
-            loads[k] = new
-            dfs(i + 1, used + 1 if k == used else used)
-            loads[k] = load
-            if state["aborted"] or state["best"] == lb:
-                return
-
-    dfs(0, 0)
-    if state["aborted"]:
-        return OptResult(lb, OPT_LOWER_BOUND_ONLY, state["nodes"])
-    kind = OPT_CERTIFIED if state["best"] == lb else OPT_EXACT
-    return OptResult(state["best"], kind, state["nodes"])
+            tried[i].append(load)
+            new = load + sizes[i]
+            if new < best:
+                nodes += 1
+                if nodes > node_budget:
+                    return OptResult(lb, OPT_LOWER_BOUND_ONLY, nodes)
+                next_machine[i] = k
+                load_before[i] = load
+                loads[k - 1] = new
+                i += 1
+                break
+        else:
+            # every machine tried for job i: reset it and backtrack
+            next_machine[i] = 0
+            tried[i].clear()
+            i -= 1
+    kind = OPT_CERTIFIED if best == lb else OPT_EXACT
+    return OptResult(best, kind, nodes)
 
 
 def opt_structured(family: str, m: int) -> Time:

@@ -84,3 +84,11 @@ def random_order(rng: random.Random, instance: Instance) -> ArrivalOrder:
     ids = list(instance.job_ids)
     rng.shuffle(ids)
     return ArrivalOrder(tuple(ids))
+
+
+def deep_instance() -> Instance:
+    """1,500 jobs on 7 machines: a search path deeper than Python's
+    default recursion limit of 1,000 frames, whose load bound (80464/7)
+    no integer makespan can meet."""
+    rng = random.Random(1500)
+    return Instance.from_sizes([rng.randint(10, 99) for _ in range(1500)], 7)

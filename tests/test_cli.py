@@ -4,11 +4,15 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import listsched
+from conftest import deep_instance
 from listsched.cli import OUTPUT_DIR_VAR, main
 from listsched.harness import REPORT_COLUMNS
+from listsched.model import format_instance
 
 
 def test_run_family_text(capsys):
@@ -72,6 +76,15 @@ def test_run_instance_file(tmp_path, capsys):
     assert "opt: 6" in out
     assert "ratio: 7/6 = 1.1667" in out
     assert "bound satisfied: yes" in out
+
+
+def test_run_instance_deeper_than_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text(format_instance(deep_instance()))
+    assert main(["run", "--instance", str(path), "--node-budget", "5000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "opt: 80464/7 (lower-bound-only, 5001 nodes)" in captured.out
 
 
 def test_run_family_without_m_is_usage_error(capsys):
@@ -190,10 +203,13 @@ def test_worst_order_past_sys_maxsize_orders(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # run from the directory that holds the package under test, so the
+    # child imports it whether or not it is installed
     proc = subprocess.run(
         [sys.executable, "-m", "listsched", "table2", "--machines", "2"],
         capture_output=True,
         text=True,
+        cwd=Path(listsched.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert "2,1.0000,1.2500" in proc.stdout

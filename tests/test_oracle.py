@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import naive_opt, random_instance
+from conftest import deep_instance, naive_opt, random_instance
 from listsched.families import gen_class1, gen_class2, gen_faigle
 from listsched.model import Instance, Time, validate_schedule
 from listsched.oracle import (
@@ -121,3 +121,60 @@ def test_opt_exact_matches_naive_enumeration():
         assert unpruned.value == truth
         lpt_value, _ = lpt_makespan(inst)
         assert lower_bound(inst) <= pruned.value <= lpt_value
+
+
+# Sizes for the pinned corpus: integers, rationals, and a + b*sqrt(2).
+PINNED_POOLS = (
+    [Time(k) for k in range(1, 30)],
+    [Time(Fraction(k, q)) for k in range(1, 13) for q in (1, 2, 3, 4)],
+    [Time(Fraction(a, 2), b) for a in range(0, 7) for b in (Fraction(1, 2), 1, 2)]
+    + [Time(k) for k in range(1, 6)],
+)
+
+# (value, kind, nodes_explored) of each pinned case, in corpus order.
+PINNED_RESULTS = [
+    ("157/2", OPT_LOWER_BOUND_ONLY, 2),
+    ("88", OPT_EXACT, 30),
+    ("58", OPT_CERTIFIED, 7),
+    ("69", OPT_LOWER_BOUND_ONLY, 2),
+    ("94", OPT_CERTIFIED, 11),
+    ("37", OPT_EXACT, 238),
+    ("259/48", OPT_LOWER_BOUND_ONLY, 2),
+    ("5", OPT_EXACT, 5),
+    ("119/6", OPT_EXACT, 51),
+    ("8", OPT_CERTIFIED, 0),
+    ("50/3", OPT_CERTIFIED, 10),
+    ("101/12", OPT_EXACT, 42),
+    ("11/3 + 13/6 r2", OPT_LOWER_BOUND_ONLY, 2),
+    ("23/2 + 7/2 r2", OPT_CERTIFIED, 23),
+    ("13/2 + 2 r2", OPT_EXACT, 51),
+    ("43/6 + 10/3 r2", OPT_LOWER_BOUND_ONLY, 2),
+    ("25/8 + 3/2 r2", OPT_LOWER_BOUND_ONLY, 41),
+    ("7 + 5/2 r2", OPT_EXACT, 28),
+]
+
+
+def test_opt_exact_pinned_values_kinds_and_node_counts():
+    """Every pool, both prune settings, budgets that run out and the
+    default. Node counts are pinned too: the CLI prints them."""
+    rng = random.Random(40)
+    got = []
+    for pool in PINNED_POOLS:
+        for symmetry_breaking in (True, False):
+            for budget in (1, 40, None):
+                sizes = [rng.choice(pool) for _ in range(rng.randint(7, 10))]
+                inst = Instance.from_sizes(sizes, rng.randint(2, 4))
+                if budget is None:
+                    r = opt_exact(inst, symmetry_breaking=symmetry_breaking)
+                else:
+                    r = opt_exact(inst, budget, symmetry_breaking)
+                got.append((str(r.value), r.kind, r.nodes_explored))
+    assert got == PINNED_RESULTS
+
+
+def test_opt_exact_searches_deeper_than_the_recursion_limit():
+    inst = deep_instance()
+    r = opt_exact(inst, node_budget=5000)
+    assert r.kind == OPT_LOWER_BOUND_ONLY
+    assert r.nodes_explored == 5001
+    assert r.value == lower_bound(inst) == Time(Fraction(80464, 7))

@@ -1,4 +1,5 @@
-"""Property tests: the greedy kernel, the coded order search, rank/unrank."""
+"""Property tests: the greedy kernel, the coded order search, rank/unrank,
+and the exact oracle against the greedy bound."""
 from __future__ import annotations
 
 import random
@@ -18,6 +19,7 @@ from listsched.multiperm import (
     unrank_permutation,
 )
 from listsched.online import Lsa, online_makespan, run_online, trace_jsonl
+from listsched.oracle import lower_bound, opt_exact
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -36,8 +38,10 @@ def instances(draw, max_n: int = 9, max_m: int = 5) -> Instance:
 
 
 @st.composite
-def instances_with_order(draw) -> tuple[Instance, ArrivalOrder]:
-    instance = draw(instances())
+def instances_with_order(
+    draw, max_n: int = 9, max_m: int = 5
+) -> tuple[Instance, ArrivalOrder]:
+    instance = draw(instances(max_n, max_m))
     return instance, ArrivalOrder(tuple(draw(st.permutations(instance.job_ids))))
 
 
@@ -110,3 +114,19 @@ def test_rank_and_unrank_are_a_bijection(items):
     for rank, arrangement in enumerate(listed):
         assert unrank_permutation(items, rank) == arrangement
         assert rank_permutation(arrangement) == rank
+
+
+@PROPERTY
+@given(instances_with_order(max_n=8, max_m=4))
+def test_oracle_sits_between_the_load_bound_and_greedy(case):
+    """lower_bound <= opt <= greedy <= (2 - 1/m) * opt, and the equal-load
+    prune never changes the optimum."""
+    instance, order = case
+    opt = opt_exact(instance)
+    assert opt.is_exact
+    unpruned = opt_exact(instance, symmetry_breaking=False)
+    assert (unpruned.value, unpruned.kind) == (opt.value, opt.kind)
+    greedy_makespan = online_makespan(instance, order)
+    m = instance.machines
+    assert lower_bound(instance) <= opt.value <= greedy_makespan
+    assert greedy_makespan <= opt.value * (2 - Fraction(1, m))
