@@ -192,6 +192,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"witness order: {' '.join(map(str, summary.witness_order.permutation))}",
     ]
     _emit("\n".join(lines) + "\n", args.output)
+    if summary.undecided:
+        print(f"undecided: {summary.undecided}", file=sys.stderr)
     return 0
 
 

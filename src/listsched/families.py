@@ -9,6 +9,7 @@ worst case needs the machines evenly loaded before the big job lands).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -57,6 +58,9 @@ class GeneratedFamily:
 def _require_m(m: int) -> None:
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
+    if m * m > sys.maxsize:
+        # class1, class2 and graham_tight list about m^2 unit jobs
+        raise ValueError(f"m={m} is too large: a family lists up to m^2 jobs")
 
 
 def _listed(sizes: list, m: int, tag: str, lsa: Time, opt: Time) -> GeneratedFamily:

@@ -300,10 +300,16 @@ class BoundViolation(AssertionError):
 
 @dataclass(frozen=True)
 class BoundCheckSummary:
-    """Result of a randomized check of the greedy guarantee."""
+    """Result of a randomized check of the greedy guarantee.
+
+    undecided counts the trials whose optimum was only a lower bound, so
+    their bound was not checked. The witness has the largest ratio among
+    the decided trials, or among all trials when none was decided.
+    """
 
     trials: int
     violations: int
+    undecided: int
     max_ratio: Time
     max_ratio_4dp: str
     witness_instance: Instance
@@ -337,7 +343,9 @@ def verify_bound(
     if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
         raise ValueError("size_range must be integers with 1 <= lo <= hi")
     rng = random.Random(seed)
-    best: Optional[tuple[RatioReport, Instance, ArrivalOrder]] = None
+    # the largest ratio over decided trials, and over undecided ones
+    best: dict[bool, tuple[RatioReport, Instance, ArrivalOrder]] = {}
+    undecided = 0
     for _ in range(trials):
         n = rng.randint(1, max_n)
         m = rng.randint(2, max_m)
@@ -349,12 +357,15 @@ def verify_bound(
         report = competitive_ratio(instance, order, policy)
         if report.bound_satisfied is False:
             raise BoundViolation(report, instance, order)
-        if best is None or best[0].ratio < report.ratio:
-            best = (report, instance, order)
-    report, instance, order = best
+        decided = report.bound_satisfied is not None
+        undecided += not decided
+        if decided not in best or best[decided][0].ratio < report.ratio:
+            best[decided] = (report, instance, order)
+    report, instance, order = best.get(True) or best[False]
     return BoundCheckSummary(
         trials=trials,
         violations=0,
+        undecided=undecided,
         max_ratio=report.ratio,
         max_ratio_4dp=report.ratio_4dp,
         witness_instance=instance,

@@ -8,10 +8,13 @@ in presentation helpers, never in decisions.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, isqrt, lcm
+from operator import attrgetter, lt
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -390,31 +393,47 @@ class Instance:
         object.__setattr__(self, "jobs", tuple(self.jobs))
         if self.machines < 2:
             raise ValueError("an instance needs at least two machines")
+        if self.machines > sys.maxsize:
+            raise ValueError(
+                f"machine count {self.machines} is past the largest list "
+                f"index {sys.maxsize}"
+            )
         if not self.jobs:
             raise ValueError("an instance needs at least one job")
-        seen = set()
-        for job in self.jobs:
-            if job.id in seen:
-                raise ValueError(f"duplicate job id {job.id}")
-            seen.add(job.id)
+        ids = self.job_ids
+        # increasing ids (from_sizes and files number jobs 1..n) cannot
+        # repeat, and checking that needs no set of all ids
+        increasing = all(map(lt, ids, islice(ids, 1, None)))
+        if not increasing and len(set(ids)) < len(ids):
+            seen = set()
+            for job_id in ids:
+                if job_id in seen:
+                    raise ValueError(f"duplicate job id {job_id}")
+                seen.add(job_id)
 
     @classmethod
     def from_sizes(cls, sizes: Sequence[TimeLike], machines: int) -> "Instance":
         """Build an instance with ids 1..n assigned in listed order."""
-        # families repeat a handful of sizes thousands of times; convert once
-        cache: dict = {}
+        # families repeat a handful of sizes thousands of times: Job checks
+        # each distinct size once, and the later jobs of a size reuse it
+        checked: dict = {}
         jobs = []
+        new, set_id, set_size = object.__new__, Job.id.__set__, Job.size.__set__
         for i, s in enumerate(sizes, start=1):
-            t = cache.get(s)
-            if t is None:
-                t = as_time(s)
-                cache[s] = t
-            jobs.append(Job(i, t))
+            size = checked.get(s)
+            if size is None:
+                job = Job(i, s)
+                checked[s] = job.size
+            else:
+                job = new(Job)
+                set_id(job, i)
+                set_size(job, size)
+            jobs.append(job)
         return cls(tuple(jobs), machines)
 
-    @property
+    @cached_property
     def job_ids(self) -> tuple[int, ...]:
-        return tuple(job.id for job in self.jobs)
+        return tuple(map(attrgetter("id"), self.jobs))
 
     def job(self, job_id: int) -> Job:
         return self._by_id[job_id]
@@ -428,11 +447,13 @@ class Instance:
     @cached_property
     def lanes(self) -> Lanes:
         """The job sizes as lane values."""
-        sizes = {job.id: job.size for job in self.jobs}
-        if any(t._b for t in sizes.values()):
-            return Lanes(sizes, Time(0), 0)
-        scale = lcm(*{t._d for t in sizes.values()})
-        return Lanes({i: t._a * (scale // t._d) for i, t in sizes.items()}, 0, scale)
+        jobs = self.jobs
+        if any(job.size._b for job in jobs):
+            return Lanes({job.id: job.size for job in jobs}, Time(0), 0)
+        scale = lcm(*{job.size._d for job in jobs})
+        return Lanes(
+            {job.id: job.size._a * (scale // job.size._d) for job in jobs}, 0, scale
+        )
 
     def __len__(self) -> int:
         return len(self.jobs)

@@ -11,6 +11,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heapreplace
+from itertools import groupby
 from typing import Optional
 
 from .model import ArrivalOrder, Instance, Job, Schedule, Time, format_time
@@ -37,19 +38,76 @@ def greedy(order, size_of, loads: list, high: bool = False, steps=None) -> list:
     when high is set. Sizes and loads may be ints or Time: the kernel only
     adds and compares them. When steps is a list, one (item, machine,
     new_load) triple per placement is appended to it, machine 1-based.
+
+    With no steps and int loads, a run of at least 8*m consecutive items
+    of one positive int size is placed in bulk by water-filling, with the
+    loads the one-by-one placement would give; every other item (and every
+    item of a call with steps or Time loads) goes through the heap alone.
     """
     # the key orders equal loads by the tie-break; abs(key) is the index
     heap = [(load, -k if high else k) for k, load in enumerate(loads)]
     heapify(heap)
-    for item in order:
-        load, key = heap[0]
-        load = load + size_of[item]
-        heapreplace(heap, (load, key))
-        if steps is not None:
-            steps.append((item, abs(key) + 1, load))
+    bulk = _BULK_RUN * len(loads)
+    if steps is not None or type(loads[0]) is not int or len(order) < bulk:
+        for item in order:
+            load, key = heap[0]
+            load = load + size_of[item]
+            heapreplace(heap, (load, key))
+            if steps is not None:
+                steps.append((item, abs(key) + 1, load))
+    else:
+        for size, run in groupby(map(size_of.__getitem__, order)):
+            count = len(list(run))
+            if count >= bulk and type(size) is int and size > 0:
+                heap = _water_fill(heap, size, count)
+                continue
+            for _ in range(count):
+                load, key = heap[0]
+                heapreplace(heap, (load + size, key))
     for load, key in heap:
         loads[abs(key)] = load
     return loads
+
+
+# a run this many times m long pays for a water-fill; shorter ones do not
+_BULK_RUN = 8
+
+
+def _water_fill(heap: list, size: int, count: int) -> list:
+    """The heap after count items of one size went, each in turn, to its
+    least (load, key) entry.
+
+    Machine j offers a slot at every level load_j + t*size, and the items
+    take the count least slots in (level, key) order. So with X the
+    largest level that leaves at most count slots below it, each machine
+    fills every slot below X, and the items left over take the slots at
+    exactly X, lowest key first.
+    """
+
+    def below(level: int) -> int:
+        return sum(-((load - level) // size) for load, _ in heap if load < level)
+
+    # below(lo) = 0 <= count < below(hi): each machine has count//m + 1
+    # slots below hi
+    lo = heap[0][0]
+    hi = max(heap)[0] + count // len(heap) * size + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid) <= count:
+            lo = mid
+        else:
+            hi = mid
+    spare = count - below(lo)
+    filled = sorted(
+        (load - (load - lo) // size * size if load < lo else load, key)
+        for load, key in heap
+    )
+    # no filled load is below lo, so the slots at lo come first, in key order
+    for j in range(spare):
+        load, key = filled[j]
+        filled[j] = (load + size, key)
+    heapify(filled)
+    return filled
 
 
 class OnlinePolicy(ABC):

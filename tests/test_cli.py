@@ -10,8 +10,9 @@ import pytest
 
 import listsched
 from conftest import deep_instance
+from listsched import harness
 from listsched.cli import OUTPUT_DIR_VAR, main
-from listsched.harness import REPORT_COLUMNS
+from listsched.harness import REPORT_COLUMNS, verify_bound
 from listsched.model import format_instance
 
 
@@ -92,6 +93,18 @@ def test_run_family_without_m_is_usage_error(capsys):
     assert "--family requires --m" in capsys.readouterr().err
 
 
+def test_machine_counts_past_sys_maxsize_are_usage_errors(tmp_path, capsys):
+    huge = "100000000000000000000"
+    path = tmp_path / "huge.txt"
+    path.write_text(f"m={huge}\n1\n2\n")
+    for argv in (["run", "--family", "class1", "--m", huge], ["run", "--instance", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert huge in captured.err
+
+
 def test_malformed_instance_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("m=2\n3\nbogus\n")
@@ -142,6 +155,18 @@ def test_verify_reports_clean_run(capsys):
     assert "violations: 0" in out
     assert "max ratio:" in out
     assert "witness order:" in out
+
+
+def test_verify_reports_undecided_trials_on_stderr_only(monkeypatch, capsys):
+    assert main(["verify", "--trials", "40", "--seed", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(harness, "DEFAULT_NODE_BUDGET", 0)
+    assert main(["verify", "--trials", "40", "--seed", "3"]) == 0
+    captured = capsys.readouterr()
+    undecided = verify_bound(40, seed=3).undecided
+    assert undecided > 0
+    assert captured.err == f"undecided: {undecided}\n"
+    assert "violations: 0" in captured.out
 
 
 def test_worst_order_family(capsys):

@@ -15,7 +15,7 @@ from listsched.families import (
     save_family,
 )
 from listsched.model import Time, load_instance
-from listsched.online import run_online
+from listsched.online import Lsa, online_makespan, run_online
 from listsched.oracle import opt_exact
 
 
@@ -87,6 +87,29 @@ def test_predictions_match_execution():
             result = opt_exact(fam.instance)
             assert result.is_exact, (fam.family_tag, m)
             assert result.value == fam.predicted_opt, (fam.family_tag, m)
+
+
+@pytest.mark.parametrize("m", [150, 300])
+def test_unit_run_families_at_scale(m):
+    """Up to 89,700 unit jobs: the greedy makespan on the listed order,
+    with either tie-break, and the optimum match the closed forms."""
+    closed_forms = {
+        gen_class1: (2 * m - 2, m),
+        gen_class2: (m - 1 + m * m, m * m),
+        gen_graham_tight: (2 * m - 1, m),
+    }
+    for gen, (greedy_makespan, optimum) in closed_forms.items():
+        fam = gen(m)
+        for tie_break in ("low", "high"):
+            makespan = online_makespan(fam.instance, fam.worst_order, Lsa(tie_break))
+            assert makespan == Time(greedy_makespan), (fam.family_tag, tie_break)
+        assert opt_exact(fam.instance).value == Time(optimum), fam.family_tag
+
+
+def test_machine_counts_too_large_for_a_family_are_refused():
+    for gen in (gen_class1, gen_class2, gen_graham_tight, gen_faigle):
+        with pytest.raises(ValueError, match="too large"):
+            gen(10**20)
 
 
 def test_generate_dispatch():

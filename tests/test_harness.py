@@ -9,6 +9,7 @@ from itertools import permutations
 import pytest
 
 from conftest import random_instance
+from listsched import harness
 from listsched.families import gen_class1, gen_class2, gen_faigle, gen_graham_tight
 from listsched.harness import (
     BoundViolation,
@@ -222,6 +223,36 @@ def test_verify_bound_summary():
     assert summary.max_ratio_4dp == summary.max_ratio.decimal(4)
     assert summary.witness_report.bound_satisfied is True
     assert summary.witness_order.covers(summary.witness_instance)
+
+
+def test_verify_bound_counts_undecided_trials(monkeypatch):
+    assert verify_bound(200, seed=42).undecided == 0
+    # with no search budget, a trial is decided only when LPT meets the
+    # load bound; the rest keep a lower bound as their optimum
+    monkeypatch.setattr(harness, "DEFAULT_NODE_BUDGET", 0)
+    summary = verify_bound(200, seed=42)
+    assert 0 < summary.undecided < 200
+    assert summary.violations == 0
+    # the witness is the largest ratio among the decided trials
+    assert summary.witness_report.bound_satisfied is True
+    rng, decided = random.Random(42), []
+    for _ in range(200):
+        n, m = rng.randint(1, 12), rng.randint(2, 4)
+        instance = Instance.from_sizes([rng.randint(1, 9) for _ in range(n)], m)
+        ids = list(instance.job_ids)
+        rng.shuffle(ids)
+        report = competitive_ratio(instance, ArrivalOrder(tuple(ids)))
+        if report.bound_satisfied is not None:
+            decided.append(report.ratio)
+    assert len(decided) == 200 - summary.undecided
+    assert summary.max_ratio == max(decided)
+
+
+def test_verify_bound_witness_when_no_trial_is_decided(monkeypatch):
+    monkeypatch.setattr(harness, "DEFAULT_NODE_BUDGET", 0)
+    summary = verify_bound(1, seed=0)  # its one trial is left undecided
+    assert summary.undecided == 1
+    assert summary.witness_report.bound_satisfied is None
 
 
 def test_verify_bound_single_job_instances():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -241,6 +242,35 @@ def test_instance_invariants():
         Instance.from_sizes([], 2)
     with pytest.raises(ValueError):
         Instance((Job(1, Time(1)), Job(1, Time(2))), 2)
+
+
+def test_instance_ids_in_any_order_and_their_duplicates():
+    jobs = [Job(job_id, Time(job_id)) for job_id in (5, 2, 9, 1)]
+    inst = Instance(tuple(jobs), 2)
+    assert inst.job_ids == (5, 2, 9, 1)
+    assert ArrivalOrder((1, 2, 5, 9)).covers(inst)
+    with pytest.raises(ValueError, match="duplicate job id 2"):
+        Instance(tuple(jobs) + (Job(2, Time(3)), Job(5, Time(1))), 2)
+
+
+def test_from_sizes_checks_each_distinct_size_once():
+    inst = Instance.from_sizes([2, "1/2", 2, Fraction(1, 2), Time(2), 7], 3)
+    assert list(inst) == [
+        Job(i, Time(s))
+        for i, s in enumerate([2, Fraction(1, 2), 2, Fraction(1, 2), 2, 7], start=1)
+    ]
+    # equal sizes share one checked Time; every job is a plain Job
+    assert inst.jobs[0].size is inst.jobs[2].size is inst.jobs[4].size
+    assert all(type(job) is Job for job in inst)
+    with pytest.raises(ValueError, match="job 2 must have positive size"):
+        Instance.from_sizes([1, 0, 0], 2)
+    with pytest.raises(TypeError):
+        Instance.from_sizes([1, 1.5], 2)
+
+
+def test_machine_counts_past_the_largest_list_index_are_refused():
+    with pytest.raises(ValueError, match="largest list index"):
+        Instance.from_sizes([1, 2], sys.maxsize + 1)
 
 
 def test_arrival_order_bijection():

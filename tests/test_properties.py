@@ -1,5 +1,6 @@
-"""Property tests: the greedy kernel, the coded order search, rank/unrank,
-and the exact oracle against the greedy bound."""
+"""Property tests: the greedy kernel and its bulk placement of long runs,
+the coded order search, rank/unrank, and the exact oracle against the
+greedy bound."""
 from __future__ import annotations
 
 import random
@@ -18,7 +19,7 @@ from listsched.multiperm import (
     rank_permutation,
     unrank_permutation,
 )
-from listsched.online import Lsa, online_makespan, run_online, trace_jsonl
+from listsched.online import Lsa, greedy, online_makespan, run_online, trace_jsonl
 from listsched.oracle import lower_bound, opt_exact
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -56,6 +57,38 @@ def test_kernel_matches_reference_scan(case, tie_break):
     assert trace[-1] == want_trace[-1]
     assert trace_jsonl(trace) == trace_jsonl(want_trace)
     assert online_makespan(instance, order, Lsa(tie_break)) == want_schedule.makespan
+
+
+@st.composite
+def run_heavy_calls(draw) -> tuple[list, list, list]:
+    """(order, sizes, starting loads) for one greedy call: m from 2 to 7,
+    uneven starting loads, and runs of up to 10m items over 1-3 distinct
+    sizes, half of them long enough (8m or more) to be water-filled, on
+    int lanes or on Time lanes with sqrt(2) parts."""
+    m = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        values, starts = st.integers(1, 12), st.integers(0, 40)
+    else:
+        values, starts = st.sampled_from(SQRT2_SIZES), st.sampled_from(SQRT2_SIZES)
+    sizes = draw(st.lists(values, min_size=1, max_size=3))
+    run = st.tuples(
+        st.integers(0, len(sizes) - 1),
+        st.one_of(st.integers(1, m), st.integers(8 * m, 10 * m)),
+    )
+    order = []
+    for code, length in draw(st.lists(run, min_size=1, max_size=5)):
+        order += [code] * length
+    return order, sizes, draw(st.lists(starts, min_size=m, max_size=m))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(run_heavy_calls(), st.booleans())
+def test_bulk_placement_matches_one_by_one(call, high):
+    """With no step sink, long equal-size runs are water-filled; a sink
+    forces the one-by-one heap loop, and the loads must not differ."""
+    order, sizes, starts = call
+    one_by_one = greedy(order, sizes, list(starts), high, [])
+    assert greedy(order, sizes, list(starts), high) == one_by_one
 
 
 def _reference_worst(instance, tie_break, orders):
