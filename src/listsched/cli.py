@@ -31,13 +31,7 @@ from .harness import (
     verify_bound,
     worst_order_search,
 )
-from .model import (
-    ArrivalOrder,
-    Instance,
-    InstanceParseError,
-    format_time,
-    load_instance,
-)
+from .model import ArrivalOrder, Instance, format_time, load_instance
 from .online import Lsa
 
 OUTPUT_DIR_VAR = "LISTSCHED_OUTPUT_DIR"
@@ -304,21 +298,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InstanceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BoundViolation as exc:
         print(f"bound violated: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a family lists about m^2 jobs, and a large m asks for more memory
+        # than there is (MemoryError carries no message of its own)
+        print("error: out of memory", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import islice
 from math import gcd, isqrt, lcm
 from operator import attrgetter, lt
@@ -35,7 +35,6 @@ __all__ = [
     "ArrivalOrder",
     "Schedule",
     "build_schedule",
-    "makespan",
     "total_load",
     "validate_schedule",
     "InstanceParseError",
@@ -63,11 +62,19 @@ def _sign_pair(p: int, q: int) -> int:
     return -1 if p * p > 2 * q * q else 1
 
 
+def _rational(x: object) -> tuple[int, int]:
+    """Numerator and denominator of an int or Fraction; floats, strings and
+    everything else are refused, so no inexact value reaches a decision."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
 def sqrt2_sign(a: RationalLike, b: RationalLike) -> int:
     """Exact sign (-1, 0, or +1) of a + b*sqrt(2) for rational a, b."""
-    fa = Fraction(a)
-    fb = Fraction(b)
-    return _sign_pair(fa.numerator * fb.denominator, fb.numerator * fa.denominator)
+    p, q = _rational(a)
+    r, s = _rational(b)
+    return _sign_pair(p * s, r * q)
 
 
 def _floor_pair(a: int, b: int, d: int) -> int:
@@ -92,6 +99,7 @@ def _normalize(a: int, b: int, d: int) -> tuple[int, int, int]:
     return a, b, d
 
 
+@total_ordering
 class Time:
     """Exact non-negative quantity a + b*sqrt(2) with rational a and b.
 
@@ -107,24 +115,15 @@ class Time:
         if isinstance(value, str):
             if sqrt2_coeff:
                 raise TypeError("string literal and sqrt2_coeff cannot be combined")
-            other = parse_time(value)
-            self._a, self._b, self._d = other._a, other._b, other._d
-            return
-        if not isinstance(sqrt2_coeff, (int, Fraction)) or not isinstance(
-            value, (Time, int, Fraction)
-        ):
-            raise TypeError(f"not an exact quantity: {value!r}, {sqrt2_coeff!r}")
+            value, sqrt2_coeff = parse_time(value), 0
         if isinstance(value, Time):
-            ra = Fraction(value._a, value._d)
-            rb = Fraction(value._b, value._d)
+            a, b, d = value._a, value._b, value._d
         else:
-            ra = Fraction(value)
-            rb = Fraction(0)
-        rb += Fraction(sqrt2_coeff)
-        d = ra.denominator * rb.denominator // gcd(ra.denominator, rb.denominator)
-        a = ra.numerator * (d // ra.denominator)
-        b = rb.numerator * (d // rb.denominator)
-        a, b, d = _normalize(a, b, d)
+            a, d = _rational(value)
+            b = 0
+        p, q = _rational(sqrt2_coeff)
+        # (a + b r) / d + (p / q) r = (a q + (b q + p d) r) / (d q)
+        a, b, d = _normalize(a * q, b * q + p * d, d * q)
         if _sign_pair(a, b) < 0:
             raise ValueError(f"negative quantity: {_render(a, b, d, compact=True)}")
         self._a, self._b, self._d = a, b, d
@@ -158,16 +157,16 @@ class Time:
         return Fraction(self._a, self._d)
 
     def __add__(self, other: Operand) -> "Time":
-        if type(other) is Time:
-            sd, od = self._d, other._d
-            return Time._make(
-                self._a * od + other._a * sd,
-                self._b * od + other._b * sd,
-                sd * od,
-            )
-        if isinstance(other, (int, Fraction)):
-            return self + Time(other)
-        return NotImplemented
+        if type(other) is not Time:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        sd, od = self._d, other._d
+        return Time._make(
+            self._a * od + other._a * sd,
+            self._b * od + other._b * sd,
+            sd * od,
+        )
 
     __radd__ = __add__
 
@@ -206,57 +205,23 @@ class Time:
         b = self._b * o._a - self._a * o._b
         return Time._make(a * o._d, b * o._d, self._d * norm)
 
-    def _cmp_time(self, other: "Time") -> int:
+    # total_ordering derives <=, > and >= from these two
+    def __lt__(self, other: Operand) -> bool:
+        if type(other) is not Time:
+            other = _coerce(other, quantity=False)
+            if other is None:
+                return NotImplemented
         return _sign_pair(
             self._a * other._d - other._a * self._d,
             self._b * other._d - other._b * self._d,
-        )
-
-    def _cmp_rational(self, x: Fraction) -> int:
-        return _sign_pair(
-            self._a * x.denominator - x.numerator * self._d,
-            self._b * x.denominator,
-        )
-
-    def __lt__(self, other: Operand) -> bool:
-        if type(other) is Time:
-            return self._cmp_time(other) < 0
-        if isinstance(other, (int, Fraction)):
-            return self._cmp_rational(Fraction(other)) < 0
-        return NotImplemented
-
-    def __le__(self, other: Operand) -> bool:
-        if type(other) is Time:
-            return self._cmp_time(other) <= 0
-        if isinstance(other, (int, Fraction)):
-            return self._cmp_rational(Fraction(other)) <= 0
-        return NotImplemented
-
-    def __gt__(self, other: Operand) -> bool:
-        if type(other) is Time:
-            return self._cmp_time(other) > 0
-        if isinstance(other, (int, Fraction)):
-            return self._cmp_rational(Fraction(other)) > 0
-        return NotImplemented
-
-    def __ge__(self, other: Operand) -> bool:
-        if type(other) is Time:
-            return self._cmp_time(other) >= 0
-        if isinstance(other, (int, Fraction)):
-            return self._cmp_rational(Fraction(other)) >= 0
-        return NotImplemented
+        ) < 0
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is Time:
-            return (
-                self._a == other._a
-                and self._b == other._b
-                and self._d == other._d
-            )
-        if isinstance(other, (int, Fraction)):
-            x = Fraction(other)
-            return self._b == 0 and self._a * x.denominator == x.numerator * self._d
-        return NotImplemented
+        if type(other) is not Time:
+            other = _coerce(other, quantity=False)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
         if self._b == 0:
@@ -289,14 +254,21 @@ class Time:
         return f"Time({_render(self._a, self._b, self._d, compact=True)!r})"
 
 
-def _coerce(value: object) -> Optional[Time]:
+def _coerce(value: object, quantity: bool = True) -> Optional[Time]:
     """The operand of an operator as a Time: every operator takes exactly
-    Time, int and Fraction (floats and strings are refused alike)."""
+    Time, int and Fraction (floats and strings are refused alike).
+
+    Arithmetic takes only quantities, so a negative int or Fraction raises
+    ValueError there, as Time(-1) does; the comparisons order any rational
+    against a quantity (quantity=False), so for them it is returned as is.
+    """
     if type(value) is Time:
         return value
-    if isinstance(value, (int, Fraction)):
+    if not isinstance(value, (int, Fraction)):
+        return None
+    if quantity:
         return Time(value)
-    return None
+    return Time._make(value.numerator, 0, value.denominator)
 
 
 def as_time(value: TimeLike) -> Time:
@@ -507,11 +479,6 @@ def build_schedule(instance: Instance, assignment: Mapping[int, int]) -> Schedul
     if isinstance(loads, str):
         raise ValueError(loads)
     return Schedule(dict(assignment), loads, max(loads))
-
-
-def makespan(schedule: Schedule) -> Time:
-    """Maximum machine load; completion time of the busiest machine."""
-    return max(schedule.loads)
 
 
 def total_load(instance: Instance) -> Time:

@@ -104,10 +104,9 @@ def opt_exact(
     sizes = sorted((job.size for job in instance.jobs), reverse=True)
     n = len(sizes)
     loads = [Time(0)] * m
-    # per job: the next machine to try, its load before the job, loads tried
+    # per job: the next machine to try and its load before the job
     next_machine = [0] * n
     load_before = [Time(0)] * n
-    tried: list[list[Time]] = [[] for _ in range(n)]
     nodes = 0
     i = 0
     while i >= 0:
@@ -125,9 +124,10 @@ def opt_exact(
         while k < m:
             load = loads[k]
             k += 1
-            if symmetry_breaking and load in tried[i]:
+            # machines before this one still hold the loads they had when
+            # job i arrived, so an equal load among them was tried already
+            if symmetry_breaking and loads.index(load) < k - 1:
                 continue
-            tried[i].append(load)
             new = load + sizes[i]
             if new < best:
                 nodes += 1
@@ -141,7 +141,6 @@ def opt_exact(
         else:
             # every machine tried for job i: reset it and backtrack
             next_machine[i] = 0
-            tried[i].clear()
             i -= 1
     kind = OPT_CERTIFIED if best == lb else OPT_EXACT
     return OptResult(best, kind, nodes)

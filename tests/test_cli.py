@@ -105,6 +105,15 @@ def test_machine_counts_past_sys_maxsize_are_usage_errors(tmp_path, capsys):
         assert huge in captured.err
 
 
+def test_family_too_large_for_memory_is_usage_error(capsys):
+    # m = 10^9 asks for (m-1)^2 ~ 10^18 list slots: the request is refused
+    # outright (more bytes than an address space holds), nothing is allocated
+    assert main(["run", "--family", "class1", "--m", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_malformed_instance_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("m=2\n3\nbogus\n")

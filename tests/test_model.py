@@ -21,7 +21,6 @@ from listsched.model import (
     format_instance,
     format_time,
     load_instance,
-    makespan,
     parse_instance,
     parse_time,
     save_instance,
@@ -160,6 +159,14 @@ def test_sign_agrees_with_high_precision_decimal():
         assert sqrt2_sign(a, b) == want, (a, b)
 
 
+def test_sqrt2_sign_refuses_floats_and_strings():
+    for bad in (0.5, 1.0, "1", "1/2"):
+        with pytest.raises(TypeError):
+            sqrt2_sign(bad, 1)
+        with pytest.raises(TypeError):
+            sqrt2_sign(1, bad)
+
+
 def test_floor_is_exact():
     assert SQRT2.floor() == 1
     assert Time(2, 2).floor() == 4  # 4.828...
@@ -287,17 +294,17 @@ def test_arrival_order_bijection():
 def test_makespan_examples():
     inst = Instance.from_sizes([1, 1, 2], 2)
     sched = build_schedule(inst, {1: 1, 3: 1, 2: 2})
-    assert makespan(sched) == Time(3)
+    assert sched.makespan == Time(3)
     assert sched.loads == (Time(3), Time(1))
 
     single = Instance.from_sizes([5], 3)
-    assert makespan(build_schedule(single, {1: 2})) == Time(5)
+    assert build_schedule(single, {1: 2}).makespan == Time(5)
 
     big_alone = Instance.from_sizes([1] * 9 + [4], 4)
     assignment = {10: 1}
     for i in range(9):
         assignment[i + 1] = 2 + i % 3
-    assert makespan(build_schedule(big_alone, assignment)) == Time(4)
+    assert build_schedule(big_alone, assignment).makespan == Time(4)
 
 
 def test_build_schedule_rejects_bad_assignments():

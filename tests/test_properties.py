@@ -1,9 +1,10 @@
-"""Property tests: the greedy kernel and its bulk placement of long runs,
-the coded order search, rank/unrank, and the exact oracle against the
-greedy bound."""
+"""Property tests: the ordering of exact Time values, the greedy kernel and
+its bulk placement of long runs, the coded order search, rank/unrank, and
+the exact oracle against the greedy bound."""
 from __future__ import annotations
 
 import random
+from decimal import Context
 from fractions import Fraction
 from itertools import permutations
 
@@ -12,7 +13,14 @@ from hypothesis import strategies as st
 
 from conftest import reference_greedy
 from listsched.harness import worst_order_search
-from listsched.model import ArrivalOrder, Instance, Time
+from listsched.model import (
+    ArrivalOrder,
+    Instance,
+    Time,
+    format_time,
+    parse_time,
+    sqrt2_sign,
+)
 from listsched.multiperm import (
     iter_permutations,
     permutation_count,
@@ -29,6 +37,74 @@ RATIONAL_SIZES = [Time(Fraction(k, q)) for k in (1, 2, 3, 5, 7) for q in (1, 2, 
 SQRT2_SIZES = RATIONAL_SIZES[:6] + [
     Time(a, b) for a in (0, 1, 2) for b in (Fraction(1, 2), 1, Fraction(3, 2))
 ]
+
+
+# Rationals of both signs, ints among them; few values, so equal ones recur.
+RATIONALS = st.one_of(st.integers(-3, 6), st.fractions(-40, 40, max_denominator=12))
+DECIMAL = Context(prec=50)
+ROOT2 = DECIMAL.sqrt(2)
+
+
+def _decimal(a, b):
+    """a + b*sqrt(2) to 50 significant digits."""
+    a, b = Fraction(a), Fraction(b)
+    return DECIMAL.add(
+        DECIMAL.divide(a.numerator, a.denominator),
+        DECIMAL.multiply(DECIMAL.divide(b.numerator, b.denominator), ROOT2),
+    )
+
+
+@st.composite
+def quantities(draw) -> tuple:
+    """Parts (a, b) of a non-negative a + b*sqrt(2); b may be negative,
+    and a then starts just above -b*sqrt(2) (99/70 > sqrt(2))."""
+    b = draw(RATIONALS)
+    floor = max(Fraction(0), -b * Fraction(99, 70))
+    return floor + draw(st.fractions(0, 20, max_denominator=12)), b
+
+
+def _order(x: tuple, y: tuple) -> int:
+    """-1, 0 or 1 as a + b*sqrt(2) of x is below, equal to or above y's.
+    Equal parts mean equal values; unequal parts differ far above 10^-50."""
+    if Fraction(x[0]) == Fraction(y[0]) and Fraction(x[1]) == Fraction(y[1]):
+        return 0
+    dx, dy = _decimal(*x), _decimal(*y)
+    return (dx > dy) - (dx < dy)
+
+
+def _assert_ordered(left, right, want: int) -> None:
+    assert (left < right) == (want < 0)
+    assert (left <= right) == (want <= 0)
+    assert (left > right) == (want > 0)
+    assert (left >= right) == (want >= 0)
+    assert (left == right) == (want == 0)
+    assert (left != right) == (want != 0)
+
+
+@PROPERTY
+@given(
+    quantities(),
+    quantities(),
+    RATIONALS,
+    st.sampled_from(["apart", "same", "rational"]),
+)
+def test_time_agrees_with_a_50_digit_decimal(x, y, r, case):
+    """All six comparisons against Time, int and Fraction (reflected too),
+    the parts surviving Time(Time(...)) and a file round-trip, and
+    sqrt2_sign, all checked against a 50-digit decimal evaluation."""
+    if case == "same":
+        y = x
+    elif case == "rational" and not x[1]:
+        r = x[0]  # a rational equal to x
+    tx, ty = Time(*x), Time(*y)
+    assert (tx.rational_part, tx.sqrt2_part) == x
+    assert tx == Time(tx) == parse_time(format_time(tx))
+    _assert_ordered(tx, ty, _order(x, y))
+    _assert_ordered(tx, r, _order(x, (r, 0)))
+    _assert_ordered(r, tx, _order((r, 0), x))
+    for a, b in (x, (r, y[1]), (-x[0], x[1])):
+        value = _decimal(a, b)
+        assert sqrt2_sign(a, b) == (value > 0) - (value < 0)
 
 
 @st.composite
