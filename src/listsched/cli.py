@@ -24,14 +24,13 @@ from .harness import (
     BoundViolation,
     RatioReport,
     _csv_text,
-    _write_atomic,
     competitive_ratio,
     export_report,
     table2,
     verify_bound,
     worst_order_search,
 )
-from .model import ArrivalOrder, Instance, format_time, load_instance
+from .model import ArrivalOrder, Instance, _write_atomic, format_time, load_instance
 from .online import Lsa
 
 OUTPUT_DIR_VAR = "LISTSCHED_OUTPUT_DIR"
@@ -180,7 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = [
         f"trials: {summary.trials}",
         f"violations: {summary.violations}",
-        f"max ratio: {witness.ratio_exact} = {summary.max_ratio_4dp} "
+        f"max ratio: {witness.ratio_exact} = {witness.ratio_4dp} "
         f"(m={witness.m}, bound {witness.bound_2_minus_1_over_m})",
         f"witness instance: {witness.label}",
         f"witness order: {' '.join(map(str, summary.witness_order.permutation))}",
@@ -305,8 +304,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # a family lists about m^2 jobs, and a large m asks for more memory
-        # than there is (MemoryError carries no message of its own)
+        # an instance file can ask for more memory than there is (families
+        # are capped before they are built); MemoryError has no message
         print("error: out of memory", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -9,7 +9,6 @@ worst case needs the machines evenly loaded before the big job lands).
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -18,6 +17,7 @@ from .model import (
     ArrivalOrder,
     Instance,
     Time,
+    _write_atomic,
     format_instance,
     format_time,
 )
@@ -55,11 +55,15 @@ class GeneratedFamily:
     predicted_opt: Time
 
 
-def _require_m(m: int) -> None:
+# A family scored by competitive_ratio peaks at about 180 bytes a job, so
+# this cap, checked before any job is built, keeps one under 2 GB.
+_MAX_JOBS = 10_000_000
+
+
+def _require_m(m: int, jobs: int) -> None:
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    if m * m > sys.maxsize:
-        # class1, class2 and graham_tight list about m^2 unit jobs
+    if jobs > _MAX_JOBS:
         raise ValueError(f"m={m} is too large: a family lists up to m^2 jobs")
 
 
@@ -75,7 +79,7 @@ def gen_class1(m: int) -> GeneratedFamily:
     m-2, then the big job lands on a least-loaded machine: makespan 2m-2.
     The optimum parks the big job alone and balances the units: m.
     """
-    _require_m(m)
+    _require_m(m, (m - 1) * (m - 1) + 1)
     sizes = [1] * ((m - 1) * (m - 1)) + [m]
     return _listed(sizes, m, "class1", Time(2 * m - 2), Time(m))
 
@@ -86,7 +90,7 @@ def gen_class2(m: int) -> GeneratedFamily:
     Greedy balances the units to m-1 per machine before the big job:
     makespan m-1+m^2. The optimum is m^2 (big job alone, units at m each).
     """
-    _require_m(m)
+    _require_m(m, m * (m - 1) + 1)
     sizes = [1] * (m * (m - 1)) + [m * m]
     return _listed(sizes, m, "class2", Time(m - 1 + m * m), Time(m * m))
 
@@ -97,7 +101,7 @@ def gen_graham_tight(m: int) -> GeneratedFamily:
     Greedy loads every machine to m-1, then adds m: makespan 2m-1 against
     an optimum of m, meeting the general greedy guarantee with equality.
     """
-    _require_m(m)
+    _require_m(m, m * (m - 1) + 1)
     sizes = [1] * (m * (m - 1)) + [m]
     return _listed(sizes, m, "graham_tight", Time(2 * m - 1), Time(m))
 
@@ -110,7 +114,7 @@ def gen_faigle(m: int) -> GeneratedFamily:
     ends at 4+3*sqrt(2) versus an optimum of 2+2*sqrt(2), ratio about
     1.7071 independent of m. The listed order is the adversarial one.
     """
-    _require_m(m)
+    _require_m(m, 2 * m + 1)
     if m == 2:
         return _listed([1, 1, 2], 2, "faigle_m2", Time(3), Time(2))
     if m == 3:
@@ -167,6 +171,6 @@ def save_family(
         stem = f"{family.family_tag}_m{family.instance.machines}"
     instance_path = directory / f"{stem}.txt"
     sidecar_path = directory / f"{stem}.json"
-    instance_path.write_text(format_instance(family.instance), encoding="utf-8")
-    sidecar_path.write_text(family_sidecar(family), encoding="utf-8")
+    _write_atomic(instance_path, format_instance(family.instance))
+    _write_atomic(sidecar_path, family_sidecar(family))
     return instance_path, sidecar_path

@@ -10,10 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import random
 import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +22,7 @@ from .model import (
     ArrivalOrder,
     Instance,
     Time,
+    _write_atomic,
     format_instance,
     format_time,
 )
@@ -33,13 +32,7 @@ from .multiperm import (
     unrank_permutation,
 )
 from .online import Lsa, OnlinePolicy, greedy, online_makespan
-from .oracle import (
-    DEFAULT_NODE_BUDGET,
-    OPT_ANALYTIC,
-    OptResult,
-    opt_exact,
-    opt_structured,
-)
+from .oracle import DEFAULT_NODE_BUDGET, OptResult, opt_exact, opt_structured
 
 __all__ = [
     "RatioReport",
@@ -124,10 +117,9 @@ def competitive_ratio(
 ) -> RatioReport:
     """Run the policy online and compare its makespan against the optimum.
 
-    For instances tagged class1 or class2 the closed-form optimum is
-    available: when the exact oracle also succeeds the two must agree, and
-    when the exact oracle degrades to a lower bound the closed form takes
-    over with kind 'analytic-class'.
+    For instances tagged class1 or class2 an exact optimum must agree with
+    the family's closed form. (LPT meets the load lower bound on both
+    families at every m, so the oracle certifies their optimum at once.)
     """
     if order is None:
         order = ArrivalOrder.as_listed(instance)
@@ -137,16 +129,13 @@ def competitive_ratio(
     if node_budget is None:
         node_budget = DEFAULT_NODE_BUDGET
     opt = opt_exact(instance, node_budget)
-    if family_tag in ("class1", "class2"):
+    if family_tag in ("class1", "class2") and opt.is_exact:
         analytic = opt_structured(family_tag, instance.machines)
-        if opt.is_exact:
-            if opt.value != analytic:
-                raise RuntimeError(
-                    f"oracle disagreement on {family_tag} m={instance.machines}: "
-                    f"search says {opt.value}, closed form says {analytic}"
-                )
-        else:
-            opt = OptResult(analytic, OPT_ANALYTIC, 0)
+        if opt.value != analytic:
+            raise RuntimeError(
+                f"oracle disagreement on {family_tag} m={instance.machines}: "
+                f"search says {opt.value}, closed form says {analytic}"
+            )
     ratio = alg_makespan / opt.value
     if opt.is_exact and ratio < 1:
         raise RuntimeError(
@@ -230,7 +219,7 @@ def worst_order_search(
         taken = [iter(pool) for pool in pools]
         return tuple([next(taken[c]) for c in sequence])
 
-    if isinstance(policy, Lsa):
+    if type(policy) is Lsa:
         start, to_time = [lanes.zero] * instance.machines, lanes.time
 
         def makespan(sequence: Sequence[int]):
@@ -310,8 +299,6 @@ class BoundCheckSummary:
     trials: int
     violations: int
     undecided: int
-    max_ratio: Time
-    max_ratio_4dp: str
     witness_instance: Instance
     witness_order: ArrivalOrder
     witness_report: RatioReport
@@ -366,8 +353,6 @@ def verify_bound(
         trials=trials,
         violations=0,
         undecided=undecided,
-        max_ratio=report.ratio,
-        max_ratio_4dp=report.ratio_4dp,
         witness_instance=instance,
         witness_order=order,
         witness_report=report,
@@ -443,24 +428,3 @@ def _csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
-
-
-def _write_atomic(destination: Path, text: str) -> None:
-    """Write text to destination through a uniquely named temporary file in
-    the same directory, renamed into place: a failed write leaves neither a
-    partial file nor the temporary one, and concurrent writers never share
-    a temporary file."""
-    fd, tmp = tempfile.mkstemp(
-        dir=destination.parent, prefix=f".{destination.name}.", suffix=".tmp"
-    )
-    try:
-        with open(fd, "w", encoding="utf-8") as out:
-            # mkstemp makes the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
-            out.write(text)
-        os.replace(tmp, destination)
-    except BaseException:
-        os.unlink(tmp)
-        raise

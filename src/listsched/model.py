@@ -7,8 +7,10 @@ in presentation helpers, never in decisions.
 """
 from __future__ import annotations
 
+import os
 import re
 import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
@@ -224,9 +226,10 @@ class Time:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        if self._b == 0:
-            return hash(Fraction(self._a, self._d))
-        return hash((self._a, self._b, self._d))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        # a rational value hashes as the equal int or Fraction does
+        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
@@ -272,10 +275,7 @@ def _coerce(value: object, quantity: bool = True) -> Optional[Time]:
 
 
 def as_time(value: TimeLike) -> Time:
-    t = parse_time(value) if isinstance(value, str) else _coerce(value)
-    if t is None:
-        raise TypeError(f"cannot interpret {value!r} as a time quantity")
-    return t
+    return value if type(value) is Time else Time(value)
 
 
 def _render_rat(n: int, d: int) -> str:
@@ -375,8 +375,7 @@ class Instance:
         ids = self.job_ids
         # increasing ids (from_sizes and files number jobs 1..n) cannot
         # repeat, and checking that needs no set of all ids
-        increasing = all(map(lt, ids, islice(ids, 1, None)))
-        if not increasing and len(set(ids)) < len(ids):
+        if not all(map(lt, ids, islice(ids, 1, None))):
             seen = set()
             for job_id in ids:
                 if job_id in seen:
@@ -482,10 +481,8 @@ def build_schedule(instance: Instance, assignment: Mapping[int, int]) -> Schedul
 
 
 def total_load(instance: Instance) -> Time:
-    result = Time(0)
-    for job in instance.jobs:
-        result = result + job.size
-    return result
+    lanes = instance.lanes
+    return lanes.time(sum(lanes.sizes.values(), lanes.zero))
 
 
 def _implied_loads(
@@ -586,4 +583,25 @@ def load_instance(path: Union[str, Path]) -> Instance:
 
 
 def save_instance(instance: Instance, path: Union[str, Path]) -> None:
-    Path(path).write_text(format_instance(instance), encoding="utf-8")
+    _write_atomic(Path(path), format_instance(instance))
+
+
+def _write_atomic(destination: Path, text: str) -> None:
+    """Write text to destination through a uniquely named temporary file in
+    the same directory, renamed into place: a failed write leaves neither a
+    partial file nor the temporary one, and concurrent writers never share
+    a temporary file."""
+    fd, tmp = tempfile.mkstemp(
+        dir=destination.parent, prefix=f".{destination.name}.", suffix=".tmp"
+    )
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            # mkstemp makes the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            out.write(text)
+        os.replace(tmp, destination)
+    except BaseException:
+        os.unlink(tmp)
+        raise

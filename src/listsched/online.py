@@ -14,12 +14,11 @@ from heapq import heapify, heapreplace
 from itertools import groupby
 from typing import Optional
 
-from .model import ArrivalOrder, Instance, Job, Schedule, Time, format_time
+from .model import ArrivalOrder, Instance, Job, Schedule, Time, as_time, format_time
 
 __all__ = [
     "OnlinePolicy",
     "Lsa",
-    "lsa_step",
     "greedy",
     "TraceStep",
     "Trace",
@@ -131,14 +130,19 @@ class Lsa(OnlinePolicy):
     the lowest index, 'high' the highest. Makespans of the structured
     worst-case sequences are identical either way; the variant exists to
     demonstrate that.
+
+    Lsa itself runs through the greedy kernel; a subclass is a custom
+    policy, run through its own choose and reported by its own name.
     """
 
     def __init__(self, tie_break: str = "low"):
         if tie_break not in ("low", "high"):
             raise ValueError(f"tie_break must be 'low' or 'high', not {tie_break!r}")
-        self.tie_break = tie_break
         self.high = tie_break == "high"
-        self.name = "LSA" if tie_break == "low" else "LSA-high"
+
+    @property
+    def name(self) -> str:
+        return "LSA-high" if self.high else "LSA"
 
     def choose(self, loads: Sequence[Time], job: Optional[Job] = None) -> int:
         if len(loads) < 2:
@@ -147,15 +151,6 @@ class Lsa(OnlinePolicy):
         steps: list = []
         greedy((0,), (0,), list(loads), self.high, steps)
         return steps[0][1]
-
-
-def lsa_step(loads: Sequence[Time], job: Optional[Job] = None) -> int:
-    """Least-loaded machine, lowest index on ties (1-based).
-
-    The job argument is accepted for signature compatibility with policies
-    but does not influence the greedy choice.
-    """
-    return Lsa().choose(loads, job)
 
 
 @dataclass(frozen=True)
@@ -213,7 +208,7 @@ def run_online(
     steps: list = []
     loads, to_time = _place(instance, order, policy, steps)
     assignment = {job_id: machine for job_id, machine, _ in steps}
-    schedule = Schedule(assignment, loads, max(loads))
+    schedule = Schedule(assignment, tuple(map(to_time, loads)), to_time(max(loads)))
     return schedule, Trace(steps, instance.machines, to_time)
 
 
@@ -223,19 +218,20 @@ def online_makespan(
     policy: Optional[OnlinePolicy] = None,
 ) -> Time:
     """The makespan run_online reports, without its assignment or trace."""
-    return max(_place(instance, order, policy, None)[0])
+    loads, to_time = _place(instance, order, policy, None)
+    return to_time(max(loads))
 
 
-def _place(instance, order, policy, steps) -> tuple[tuple[Time, ...], Callable]:
-    """Final loads as Time, and how to turn the loads in steps into Time."""
+def _place(instance, order, policy, steps) -> tuple[list, Callable]:
+    """Final loads, and how to turn them and the loads in steps into Time."""
     if not order.covers(instance):
         raise ValueError("arrival order is not a permutation of the instance's jobs")
     m = instance.machines
-    if policy is None or isinstance(policy, Lsa):
+    if policy is None or type(policy) is Lsa:
         lanes = instance.lanes
         high = policy is not None and policy.high
         loads = greedy(order.permutation, lanes.sizes, [lanes.zero] * m, high, steps)
-        return tuple(map(lanes.time, loads)), lanes.time
+        return loads, lanes.time
     loads = [Time(0)] * m
     for job_id in order.permutation:
         job = instance.job(job_id)
@@ -247,7 +243,7 @@ def _place(instance, order, policy, steps) -> tuple[tuple[Time, ...], Callable]:
         loads[machine - 1] = loads[machine - 1] + job.size
         if steps is not None:
             steps.append((job_id, machine, loads[machine - 1]))
-    return tuple(loads), Time
+    return loads, as_time
 
 
 def trace_jsonl(trace: Sequence[TraceStep]) -> str:

@@ -2,21 +2,20 @@
 
 Minimizing makespan on identical machines is NP-hard, so the exact solver
 is branch and bound over job-to-machine assignments, jobs largest first,
-seeded with the LPT schedule as incumbent. Two shortcuts keep common cases
-instant: a schedule matching max(total/m, largest job) is provably optimal,
-and the structured families have closed-form optima.
+seeded with the LPT schedule as incumbent. A schedule matching
+max(total/m, largest job) is provably optimal, so common cases are instant;
+the structured families also have closed-form optima (opt_structured).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ArrivalOrder, Instance, Schedule, Time
+from .model import ArrivalOrder, Instance, Schedule, Time, total_load
 from .online import online_makespan, run_online
 
 __all__ = [
     "OPT_EXACT",
     "OPT_CERTIFIED",
-    "OPT_ANALYTIC",
     "OPT_LOWER_BOUND_ONLY",
     "OptResult",
     "lower_bound",
@@ -28,7 +27,6 @@ __all__ = [
 
 OPT_EXACT = "exact"
 OPT_CERTIFIED = "certified-by-bound"
-OPT_ANALYTIC = "analytic-class"
 OPT_LOWER_BOUND_ONLY = "lower-bound-only"
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -39,8 +37,7 @@ class OptResult:
     """Optimal makespan (or best known bound) with its provenance.
 
     kind is one of: 'exact' (search completed), 'certified-by-bound' (a
-    schedule met the load lower bound, optimal by certificate),
-    'analytic-class' (closed form for a structured family), or
+    schedule met the load lower bound, optimal by certificate), or
     'lower-bound-only' (search aborted; value is only a lower bound and
     ratios against it overestimate the truth).
     """
@@ -51,15 +48,14 @@ class OptResult:
 
     @property
     def is_exact(self) -> bool:
-        return self.kind in (OPT_EXACT, OPT_CERTIFIED, OPT_ANALYTIC)
+        return self.kind != OPT_LOWER_BOUND_ONLY
 
 
 def lower_bound(instance: Instance) -> Time:
     """max(total load / m, largest job size): no schedule finishes sooner."""
     lanes = instance.lanes
-    sizes = lanes.sizes.values()
-    average = lanes.time(sum(sizes, lanes.zero)) / instance.machines
-    largest = lanes.time(max(sizes))
+    average = total_load(instance) / instance.machines
+    largest = lanes.time(max(lanes.sizes.values()))
     return average if largest < average else largest
 
 
@@ -96,12 +92,14 @@ def opt_exact(
     if node_budget < 0:
         raise ValueError("node_budget must be non-negative")
     lb = lower_bound(instance)
-    best = online_makespan(instance, lpt_order(instance))
+    lpt = lpt_order(instance)
+    best = online_makespan(instance, lpt)
     if best == lb:
         return OptResult(best, OPT_CERTIFIED, 0)
 
     m = instance.machines
-    sizes = sorted((job.size for job in instance.jobs), reverse=True)
+    lanes = instance.lanes
+    sizes = [lanes.time(lanes.sizes[job_id]) for job_id in lpt.permutation]
     n = len(sizes)
     loads = [Time(0)] * m
     # per job: the next machine to try and its load before the job

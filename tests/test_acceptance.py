@@ -89,7 +89,7 @@ def test_greedy_bound_on_1000_random_instances_and_tightness():
     assert elapsed < 60.0, f"suite took {elapsed:.3f}s"
     print(
         f"[PASS] 2-1/m bound: 1000/1000 random trials hold "
-        f"(max ratio {summary.max_ratio_4dp}); tight at {', '.join(tight)}; "
+        f"(max ratio {summary.witness_report.ratio_4dp}); tight at {', '.join(tight)}; "
         f"{elapsed:.3f}s"
     )
 

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,35 @@ from listsched import harness
 from listsched.cli import OUTPUT_DIR_VAR, main
 from listsched.harness import REPORT_COLUMNS, verify_bound
 from listsched.model import format_instance
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, shown stdout lines) for each `$ listsched ...` line in the
+    README's console blocks; output shown up to a '...' line is only the
+    first lines of what the command prints."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = []
+    for block in re.findall(r"```console\n(.*?)```", readme.read_text(), re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *shown = chunk.splitlines()
+            examples.append((shlex.split(command), shown))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv, shown", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_console_examples(argv, shown, capsys):
+    assert argv[0] == "listsched"
+    assert main(argv[1:]) == 0
+    out = capsys.readouterr().out.splitlines()
+    if shown and shown[-1] == "...":
+        shown = shown[:-1]
+        out = out[: len(shown)]
+    assert out == shown
 
 
 def test_run_family_text(capsys):
@@ -106,12 +137,14 @@ def test_machine_counts_past_sys_maxsize_are_usage_errors(tmp_path, capsys):
 
 
 def test_family_too_large_for_memory_is_usage_error(capsys):
-    # m = 10^9 asks for (m-1)^2 ~ 10^18 list slots: the request is refused
-    # outright (more bytes than an address space holds), nothing is allocated
+    # m = 10^9 asks for (m-1)^2 ~ 10^18 jobs: the family's job count is
+    # refused before any of its list is allocated
     assert main(["run", "--family", "class1", "--m", "1000000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: out of memory\n"
+    assert captured.err == (
+        "error: m=1000000000 is too large: a family lists up to m^2 jobs\n"
+    )
 
 
 def test_malformed_instance_reports_line(tmp_path, capsys):

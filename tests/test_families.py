@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from listsched import families
 from listsched.families import (
     FAMILY_TAGS,
     gen_class1,
@@ -110,6 +111,23 @@ def test_machine_counts_too_large_for_a_family_are_refused():
     for gen in (gen_class1, gen_class2, gen_graham_tight, gen_faigle):
         with pytest.raises(ValueError, match="too large"):
             gen(10**20)
+    # m = 30,000 asks for about 9*10^8 unit jobs: refused before the list
+    # of sizes is built, while faigle's 2m + 1 jobs still fit
+    for gen in (gen_class1, gen_class2, gen_graham_tight):
+        with pytest.raises(ValueError, match="m=30000 is too large"):
+            gen(30_000)
+    assert len(gen_faigle(30_000).instance) == 60_001
+
+
+def test_family_cap_counts_every_job(monkeypatch):
+    monkeypatch.setattr(families, "_MAX_JOBS", 13)
+    assert len(gen_class1(4).instance) == 10
+    assert len(gen_class2(4).instance) == len(gen_graham_tight(4).instance) == 13
+    assert len(gen_faigle(6).instance) == 13
+    refused = ((gen_class1, 5), (gen_class2, 5), (gen_graham_tight, 5), (gen_faigle, 7))
+    for gen, m in refused:
+        with pytest.raises(ValueError, match="too large"):
+            gen(m)
 
 
 def test_generate_dispatch():
@@ -137,3 +155,16 @@ def test_save_family_round_trip(tmp_path):
     first = sidecar_path.read_bytes()
     save_family(fam, tmp_path)
     assert sidecar_path.read_bytes() == first
+
+
+def test_failed_save_family_leaves_old_files_and_no_temp(tmp_path, monkeypatch):
+    fam = gen_faigle(4)
+    instance_path, sidecar_path = save_family(fam, tmp_path)
+    before = sorted(tmp_path.iterdir())
+    sidecar = sidecar_path.read_bytes()
+    monkeypatch.setattr(families, "family_sidecar", lambda family: "{\ud800}")
+    with pytest.raises(UnicodeEncodeError):  # fails while writing the sidecar
+        save_family(fam, tmp_path)
+    assert sidecar_path.read_bytes() == sidecar
+    assert load_instance(instance_path) == fam.instance
+    assert sorted(tmp_path.iterdir()) == before

@@ -46,6 +46,29 @@ class StackFirst(OnlinePolicy):
         return 1
 
 
+def _fill(loads, job) -> int:
+    """The fullest machine whose load is still below the job's size, else
+    machine 1: a rule whose makespan depends on the arrival order."""
+    below = [k for k, load in enumerate(loads) if load < job.size]
+    return 1 + max(below, key=loads.__getitem__) if below else 1
+
+
+class Fill(OnlinePolicy):
+    name = "fill"
+
+    def choose(self, loads, job=None):
+        return _fill(loads, job)
+
+
+class FillLsa(Lsa):
+    """The same rule as Fill, written as a subclass of Lsa."""
+
+    name = "fill"
+
+    def choose(self, loads, job=None):
+        return _fill(loads, job)
+
+
 def test_ratio_report_class1_m4():
     fam = gen_class1(4)
     report = competitive_ratio(fam.instance, fam.worst_order, family_tag="class1")
@@ -179,6 +202,23 @@ def test_worst_order_search_with_custom_policy():
     assert result.exhaustive
 
 
+def test_lsa_subclass_is_scored_and_searched_with_its_own_rule():
+    inst = Instance.from_sizes([1, 2, 2, 3, 5], 2)
+    order = ArrivalOrder.as_listed(inst)
+    report = competitive_ratio(inst, order, FillLsa())
+    assert report.policy == "fill"
+    want, _ = run_online(inst, order, Fill())
+    assert report.alg_makespan == want.makespan == Time(8)
+    # plain enumeration of every order under the same rule as a base policy
+    orders = sorted(permutations(inst.job_ids))
+    values = [run_online(inst, ArrivalOrder(ids), Fill())[0].makespan for ids in orders]
+    worst = max(values)
+    result = worst_order_search(inst, FillLsa())
+    assert result.worst_makespan == worst
+    assert result.best_order.permutation == orders[values.index(worst)]
+    assert worst != worst_order_search(inst).worst_makespan
+
+
 def test_worst_order_search_tie_break_variant():
     fam = gen_class2(3)
     low = worst_order_search(fam.instance)
@@ -219,8 +259,8 @@ def test_verify_bound_summary():
     summary = verify_bound(200, seed=42)
     assert summary.trials == 200
     assert summary.violations == 0
-    assert summary.max_ratio <= greedy_bound(summary.witness_report.m)
-    assert summary.max_ratio_4dp == summary.max_ratio.decimal(4)
+    assert summary.witness_report.ratio <= greedy_bound(summary.witness_report.m)
+    assert summary.witness_report.ratio_4dp == summary.witness_report.ratio.decimal(4)
     assert summary.witness_report.bound_satisfied is True
     assert summary.witness_order.covers(summary.witness_instance)
 
@@ -245,7 +285,7 @@ def test_verify_bound_counts_undecided_trials(monkeypatch):
         if report.bound_satisfied is not None:
             decided.append(report.ratio)
     assert len(decided) == 200 - summary.undecided
-    assert summary.max_ratio == max(decided)
+    assert summary.witness_report.ratio == max(decided)
 
 
 def test_verify_bound_witness_when_no_trial_is_decided(monkeypatch):
@@ -257,7 +297,7 @@ def test_verify_bound_witness_when_no_trial_is_decided(monkeypatch):
 
 def test_verify_bound_single_job_instances():
     summary = verify_bound(25, max_n=1, seed=7)
-    assert summary.max_ratio == 1
+    assert summary.witness_report.ratio == 1
 
 
 def test_verify_bound_parameter_validation():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from listsched import model
 from listsched.model import (
     SQRT2,
     ArrivalOrder,
@@ -416,3 +417,13 @@ def test_save_and_load_instance(tmp_path):
     path = tmp_path / "inst.txt"
     save_instance(inst, path)
     assert load_instance(path) == inst
+
+
+def test_failed_save_instance_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "inst.txt"
+    path.write_text("m=2\n1\n")
+    monkeypatch.setattr(model, "format_instance", lambda instance: "m=2\n\ud800\n")
+    with pytest.raises(UnicodeEncodeError):  # fails while writing
+        save_instance(Instance.from_sizes([3], 2), path)
+    assert path.read_text() == "m=2\n1\n"
+    assert list(tmp_path.iterdir()) == [path]

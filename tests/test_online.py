@@ -10,7 +10,14 @@ import pytest
 from conftest import random_instance, random_order
 from listsched.families import gen_class1, gen_class2, gen_faigle, gen_graham_tight
 from listsched.model import ArrivalOrder, Instance, Time, parse_time, validate_schedule
-from listsched.online import Lsa, OnlinePolicy, TraceStep, lsa_step, run_online, trace_jsonl
+from listsched.online import (
+    Lsa,
+    OnlinePolicy,
+    TraceStep,
+    online_makespan,
+    run_online,
+    trace_jsonl,
+)
 
 
 class ScanLow(OnlinePolicy):
@@ -48,15 +55,24 @@ class StackFirst(OnlinePolicy):
         return 1
 
 
+class StackLast(Lsa):
+    """An Lsa subclass with a rule of its own: everything onto machine m."""
+
+    name = "stack-last"
+
+    def choose(self, loads, job=None):
+        return len(loads)
+
+
 def test_lsa_step_examples():
-    assert lsa_step((Time(0), Time(0), Time(0))) == 1
-    assert lsa_step((Time(4), Time(4), Time(10))) == 1
+    assert Lsa().choose((Time(0), Time(0), Time(0))) == 1
+    assert Lsa().choose((Time(4), Time(4), Time(10))) == 1
     for m in (2, 3, 7):
         loads = tuple(Time(m - 1) for _ in range(m))
-        assert lsa_step(loads) == 1
-    assert lsa_step((Time(3), Time(1), Time(2))) == 2
+        assert Lsa().choose(loads) == 1
+    assert Lsa().choose((Time(3), Time(1), Time(2))) == 2
     with pytest.raises(ValueError):
-        lsa_step((Time(0),))
+        Lsa().choose((Time(0),))
 
 
 def test_lsa_tie_break_variants():
@@ -66,6 +82,17 @@ def test_lsa_tie_break_variants():
     assert Lsa("high").name == "LSA-high"
     with pytest.raises(ValueError):
         Lsa("middle")
+
+
+def test_lsa_subclass_runs_its_own_choose():
+    inst = Instance.from_sizes([1, 2, 3, 4], 2)
+    order = ArrivalOrder.as_listed(inst)
+    sched, trace = run_online(inst, order, StackLast())
+    assert [step.machine for step in trace] == [2, 2, 2, 2]
+    assert sched.loads == (Time(0), Time(10))
+    assert online_makespan(inst, order, StackLast()) == Time(10)
+    assert StackLast().name == "stack-last"
+    assert StackLast("high").name == "stack-last"
 
 
 def test_run_online_family_replays():

@@ -109,6 +109,16 @@ def test_oracle_agreement_on_structured_families():
     assert opt_exact(gen_class1(4).instance).value == Time(4)
 
 
+def test_structured_families_are_certified_without_search():
+    # LPT sets the big job alone and spreads the units evenly over the other
+    # machines, meeting the load bound: no node is needed, even at budget 0
+    for m in [*range(2, 41), 100, 300]:
+        for gen, family in ((gen_class1, "class1"), (gen_class2, "class2")):
+            opt = opt_exact(gen(m).instance, node_budget=0)
+            want = (opt_structured(family, m), OPT_CERTIFIED, 0)
+            assert (opt.value, opt.kind, opt.nodes_explored) == want, (family, m)
+
+
 def test_opt_exact_matches_naive_enumeration():
     rng = random.Random(2024)
     for _ in range(500):

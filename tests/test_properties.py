@@ -1,6 +1,7 @@
-"""Property tests: the ordering of exact Time values, the greedy kernel and
-its bulk placement of long runs, the coded order search, rank/unrank, and
-the exact oracle against the greedy bound."""
+"""Property tests: the ordering, hashing and field laws of exact Time
+values, the greedy kernel, its bulk placement of long runs and its
+invariants under any arrival order, the coded order search, rank/unrank,
+and the exact oracle against the greedy bound."""
 from __future__ import annotations
 
 import random
@@ -20,6 +21,7 @@ from listsched.model import (
     format_time,
     parse_time,
     sqrt2_sign,
+    total_load,
 )
 from listsched.multiperm import (
     iter_permutations,
@@ -91,7 +93,8 @@ def _assert_ordered(left, right, want: int) -> None:
 def test_time_agrees_with_a_50_digit_decimal(x, y, r, case):
     """All six comparisons against Time, int and Fraction (reflected too),
     the parts surviving Time(Time(...)) and a file round-trip, and
-    sqrt2_sign, all checked against a 50-digit decimal evaluation."""
+    sqrt2_sign, all checked against a 50-digit decimal evaluation; and a
+    rational Time hashing as the equal int or Fraction does."""
     if case == "same":
         y = x
     elif case == "rational" and not x[1]:
@@ -105,6 +108,24 @@ def test_time_agrees_with_a_50_digit_decimal(x, y, r, case):
     for a, b in (x, (r, y[1]), (-x[0], x[1])):
         value = _decimal(a, b)
         assert sqrt2_sign(a, b) == (value > 0) - (value < 0)
+    q = abs(r)
+    assert hash(Time(q)) == hash(q)
+    assert {q: 1}[Time(q)] == {Time(q): 1}[q] == 1
+
+
+@PROPERTY
+@given(quantities(), quantities(), quantities())
+def test_time_obeys_the_field_laws(x, y, z):
+    a, b, c = Time(*x), Time(*y), Time(*z)
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    if b:
+        assert (a * b) / b == a
+    low, high = (a, b) if a < b else (b, a)
+    assert (high - low) + low == high
 
 
 @st.composite
@@ -133,6 +154,23 @@ def test_kernel_matches_reference_scan(case, tie_break):
     assert trace[-1] == want_trace[-1]
     assert trace_jsonl(trace) == trace_jsonl(want_trace)
     assert online_makespan(instance, order, Lsa(tie_break)) == want_schedule.makespan
+
+
+@PROPERTY
+@given(instances_with_order(), st.sampled_from(["low", "high"]))
+def test_greedy_invariants_under_any_order(case, tie_break):
+    """Each job lands on a least-loaded machine (the lowest or highest of
+    them by the tie-break), the loads add up to the total, and they end
+    at most one job size apart."""
+    instance, order = case
+    schedule, trace = run_online(instance, order, Lsa(tie_break))
+    for step in trace:
+        least = min(step.loads_before)
+        ties = [k for k, load in enumerate(step.loads_before, 1) if load == least]
+        assert step.machine == (ties[-1] if tie_break == "high" else ties[0])
+    assert sum(schedule.loads, Time(0)) == total_load(instance)
+    largest = max(job.size for job in instance.jobs)
+    assert max(schedule.loads) - min(schedule.loads) <= largest
 
 
 @st.composite
