@@ -23,6 +23,7 @@ from .families import GeneratedFamily, generate
 from .harness import (
     BoundViolation,
     RatioReport,
+    WorstOrderResult,
     _csv_text,
     competitive_ratio,
     export_report,
@@ -79,8 +80,6 @@ def _out_path(path: str) -> Path:
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         destination = _out_path(output)
         destination.parent.mkdir(parents=True, exist_ok=True)
@@ -91,6 +90,8 @@ def _resolve_instance(
     args: argparse.Namespace,
 ) -> tuple[Instance, Optional[GeneratedFamily]]:
     if args.instance is not None:
+        if args.m is not None:
+            raise ValueError("--m applies only to --family")
         return load_instance(args.instance), None
     if args.m is None:
         raise ValueError("--family requires --m")
@@ -98,24 +99,19 @@ def _resolve_instance(
     return family.instance, family
 
 
-def _resolve_order(
-    args: argparse.Namespace,
-    instance: Instance,
-    family: Optional[GeneratedFamily],
-) -> ArrivalOrder:
-    if args.order == "as-listed":
-        return ArrivalOrder.as_listed(instance)
+def _worst_order(args: argparse.Namespace, instance: Instance) -> WorstOrderResult:
+    return worst_order_search(
+        instance,
+        _policy(args.policy),
+        enumeration_cap=args.cap,
+        seed=args.seed,
+    )
+
+
+def _resolve_order(args: argparse.Namespace, instance: Instance) -> ArrivalOrder:
     if args.order == "worst":
-        result = worst_order_search(
-            instance,
-            _policy(args.policy),
-            enumeration_cap=args.cap,
-            seed=args.seed,
-        )
-        return result.best_order
-    # 'given': the family's adversarial order, or the file's listed order
-    if family is not None:
-        return family.worst_order
+        return _worst_order(args, instance).best_order
+    # 'given' and 'as-listed' alike: a family lists its adversarial order
     return ArrivalOrder.as_listed(instance)
 
 
@@ -139,7 +135,7 @@ def _report_text(report: RatioReport) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     instance, family = _resolve_instance(args)
-    order = _resolve_order(args, instance, family)
+    order = _resolve_order(args, instance)
     tag = family.family_tag if family is not None else None
     report = competitive_ratio(
         instance,
@@ -192,12 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_worst_order(args: argparse.Namespace) -> int:
     instance, family = _resolve_instance(args)
-    result = worst_order_search(
-        instance,
-        _policy(args.policy),
-        enumeration_cap=args.cap,
-        seed=args.seed,
-    )
+    result = _worst_order(args, instance)
     mode = "exhaustive" if result.exhaustive else "sampled"
     lines = [
         f"orders examined: {result.orders_examined} ({mode})",

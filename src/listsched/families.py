@@ -60,14 +60,18 @@ class GeneratedFamily:
 _MAX_JOBS = 10_000_000
 
 
-def _require_m(m: int, jobs: int) -> None:
+def _listed(runs: list, m: int, tag: str, lsa: Time, opt: Time) -> GeneratedFamily:
+    """The family listing its (count, size) runs; counted before it is built."""
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
+    jobs = sum(count for count, _ in runs)
     if jobs > _MAX_JOBS:
-        raise ValueError(f"m={m} is too large: a family lists up to m^2 jobs")
-
-
-def _listed(sizes: list, m: int, tag: str, lsa: Time, opt: Time) -> GeneratedFamily:
+        raise ValueError(
+            f"m={m} is too large: {tag} lists {jobs} jobs, more than {_MAX_JOBS}"
+        )
+    sizes: list = []
+    for count, size in runs:
+        sizes += [size] * count
     instance = Instance.from_sizes(sizes, m)
     return GeneratedFamily(instance, ArrivalOrder.as_listed(instance), tag, lsa, opt)
 
@@ -79,9 +83,8 @@ def gen_class1(m: int) -> GeneratedFamily:
     m-2, then the big job lands on a least-loaded machine: makespan 2m-2.
     The optimum parks the big job alone and balances the units: m.
     """
-    _require_m(m, (m - 1) * (m - 1) + 1)
-    sizes = [1] * ((m - 1) * (m - 1)) + [m]
-    return _listed(sizes, m, "class1", Time(2 * m - 2), Time(m))
+    runs = [((m - 1) * (m - 1), 1), (1, m)]
+    return _listed(runs, m, "class1", Time(2 * m - 2), Time(m))
 
 
 def gen_class2(m: int) -> GeneratedFamily:
@@ -90,9 +93,8 @@ def gen_class2(m: int) -> GeneratedFamily:
     Greedy balances the units to m-1 per machine before the big job:
     makespan m-1+m^2. The optimum is m^2 (big job alone, units at m each).
     """
-    _require_m(m, m * (m - 1) + 1)
-    sizes = [1] * (m * (m - 1)) + [m * m]
-    return _listed(sizes, m, "class2", Time(m - 1 + m * m), Time(m * m))
+    runs = [(m * (m - 1), 1), (1, m * m)]
+    return _listed(runs, m, "class2", Time(m - 1 + m * m), Time(m * m))
 
 
 def gen_graham_tight(m: int) -> GeneratedFamily:
@@ -101,9 +103,8 @@ def gen_graham_tight(m: int) -> GeneratedFamily:
     Greedy loads every machine to m-1, then adds m: makespan 2m-1 against
     an optimum of m, meeting the general greedy guarantee with equality.
     """
-    _require_m(m, m * (m - 1) + 1)
-    sizes = [1] * (m * (m - 1)) + [m]
-    return _listed(sizes, m, "graham_tight", Time(2 * m - 1), Time(m))
+    runs = [(m * (m - 1), 1), (1, m)]
+    return _listed(runs, m, "graham_tight", Time(2 * m - 1), Time(m))
 
 
 def gen_faigle(m: int) -> GeneratedFamily:
@@ -114,14 +115,12 @@ def gen_faigle(m: int) -> GeneratedFamily:
     ends at 4+3*sqrt(2) versus an optimum of 2+2*sqrt(2), ratio about
     1.7071 independent of m. The listed order is the adversarial one.
     """
-    _require_m(m, 2 * m + 1)
     if m == 2:
-        return _listed([1, 1, 2], 2, "faigle_m2", Time(3), Time(2))
+        return _listed([(2, 1), (1, 2)], 2, "faigle_m2", Time(3), Time(2))
     if m == 3:
-        return _listed([1, 1, 1, 3, 3, 3, 6], 3, "faigle_m3", Time(10), Time(6))
-    one_plus_r2 = Time(1, 1)
-    sizes = [Time(1)] * m + [one_plus_r2] * m + [Time(2, 2)]
-    return _listed(sizes, m, "faigle_sqrt2", Time(4, 3), Time(2, 2))
+        return _listed([(3, 1), (3, 3), (1, 6)], 3, "faigle_m3", Time(10), Time(6))
+    runs = [(m, Time(1)), (m, Time(1, 1)), (1, Time(2, 2))]
+    return _listed(runs, m, "faigle_sqrt2", Time(4, 3), Time(2, 2))
 
 
 _GENERATORS = {

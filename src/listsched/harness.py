@@ -31,7 +31,7 @@ from .multiperm import (
     permutation_count,
     unrank_permutation,
 )
-from .online import Lsa, OnlinePolicy, greedy, online_makespan
+from .online import Lsa, OnlinePolicy, _kernel_high, _place, greedy, online_makespan
 from .oracle import DEFAULT_NODE_BUDGET, OptResult, opt_exact, opt_structured
 
 __all__ = [
@@ -187,8 +187,6 @@ def worst_order_search(
     """
     if enumeration_cap < 1:
         raise ValueError("enumeration_cap must be at least 1")
-    if policy is None:
-        policy = Lsa()
     # Sizes become codes 0..k-1 in increasing order: the map is monotone,
     # so lexicographic order, ranks and tie-breaks are those of the sizes.
     lanes = instance.lanes
@@ -219,18 +217,15 @@ def worst_order_search(
         taken = [iter(pool) for pool in pools]
         return tuple([next(taken[c]) for c in sequence])
 
-    if type(policy) is Lsa:
-        start, to_time = [lanes.zero] * instance.machines, lanes.time
-
+    high, m = _kernel_high(policy), instance.machines
+    if high is not None:
         def makespan(sequence: Sequence[int]):
-            return max(greedy(sequence, distinct, list(start), policy.high))
+            return max(greedy(sequence, distinct, [lanes.zero] * m, high))
 
     else:
-        to_time = Time
-
         def makespan(sequence: Sequence[int]):
             order = ArrivalOrder(realize(sequence))
-            return online_makespan(instance, order, policy)
+            return max(_place(instance, order, policy, None))
 
     best = best_ids = None
     for sequence in sequences:
@@ -243,7 +238,7 @@ def worst_order_search(
                 best_ids = ids
     examined = total if exhaustive else enumeration_cap
     return WorstOrderResult(
-        ArrivalOrder(best_ids), to_time(best), examined, exhaustive
+        ArrivalOrder(best_ids), lanes.time(best), examined, exhaustive
     )
 
 

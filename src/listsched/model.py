@@ -82,12 +82,8 @@ def sqrt2_sign(a: RationalLike, b: RationalLike) -> int:
 def _floor_pair(a: int, b: int, d: int) -> int:
     """Exact floor of (a + b*sqrt(2)) / d for integers a, b and d >= 1."""
     s = isqrt(2 * b * b)  # floor(|b| * sqrt(2))
-    n = (a + (s if b >= 0 else -s - 1)) // d
-    while _sign_pair(a - (n + 1) * d, b) >= 0:
-        n += 1
-    while _sign_pair(a - n * d, b) < 0:
-        n -= 1
-    return n
+    # b*sqrt(2) is irrational for b != 0, so the numerator is floor(a + b*sqrt(2))
+    return (a + (s if b >= 0 else -s - 1)) // d
 
 
 def _normalize(a: int, b: int, d: int) -> tuple[int, int, int]:

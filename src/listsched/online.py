@@ -14,7 +14,7 @@ from heapq import heapify, heapreplace
 from itertools import groupby
 from typing import Optional
 
-from .model import ArrivalOrder, Instance, Job, Schedule, Time, as_time, format_time
+from .model import ArrivalOrder, Instance, Job, Schedule, Time, format_time
 
 __all__ = [
     "OnlinePolicy",
@@ -131,8 +131,9 @@ class Lsa(OnlinePolicy):
     worst-case sequences are identical either way; the variant exists to
     demonstrate that.
 
-    Lsa itself runs through the greedy kernel; a subclass is a custom
-    policy, run through its own choose and reported by its own name.
+    Lsa, and any subclass that keeps Lsa.choose, runs through the greedy
+    kernel; a subclass that overrides choose runs through its own choose.
+    Either is reported by its own name.
     """
 
     def __init__(self, tie_break: str = "low"):
@@ -206,7 +207,8 @@ def run_online(
     step per job, in arrival order.
     """
     steps: list = []
-    loads, to_time = _place(instance, order, policy, steps)
+    loads = _place(instance, order, policy, steps)
+    to_time = instance.lanes.time
     assignment = {job_id: machine for job_id, machine, _ in steps}
     schedule = Schedule(assignment, tuple(map(to_time, loads)), to_time(max(loads)))
     return schedule, Trace(steps, instance.machines, to_time)
@@ -218,32 +220,38 @@ def online_makespan(
     policy: Optional[OnlinePolicy] = None,
 ) -> Time:
     """The makespan run_online reports, without its assignment or trace."""
-    loads, to_time = _place(instance, order, policy, None)
-    return to_time(max(loads))
+    return instance.lanes.time(max(_place(instance, order, policy, None)))
 
 
-def _place(instance, order, policy, steps) -> tuple[list, Callable]:
-    """Final loads, and how to turn them and the loads in steps into Time."""
+def _kernel_high(policy: Optional[OnlinePolicy]) -> Optional[bool]:
+    """Lsa's tie-break when the greedy kernel runs the policy, else None."""
+    if policy is None or type(policy).choose is Lsa.choose:
+        return policy is not None and policy.high
+    return None
+
+
+def _place(instance, order, policy, steps) -> list:
+    """Final loads and steps in lane values; a policy's choose sees Time loads."""
     if not order.covers(instance):
         raise ValueError("arrival order is not a permutation of the instance's jobs")
     m = instance.machines
-    if policy is None or type(policy) is Lsa:
-        lanes = instance.lanes
-        high = policy is not None and policy.high
-        loads = greedy(order.permutation, lanes.sizes, [lanes.zero] * m, high, steps)
-        return loads, lanes.time
-    loads = [Time(0)] * m
+    lanes = instance.lanes
+    loads = [lanes.zero] * m
+    high = _kernel_high(policy)
+    if high is not None:
+        return greedy(order.permutation, lanes.sizes, loads, high, steps)
+    times = [Time(0)] * m  # loads as Time, converted once per placement
     for job_id in order.permutation:
-        job = instance.job(job_id)
-        machine = policy.choose(tuple(loads), job)
+        machine = policy.choose(tuple(times), instance.job(job_id))
         if not isinstance(machine, int) or not 1 <= machine <= m:
             raise RuntimeError(
                 f"policy {policy.name} chose invalid machine {machine!r}"
             )
-        loads[machine - 1] = loads[machine - 1] + job.size
+        load = loads[machine - 1] + lanes.sizes[job_id]
+        loads[machine - 1], times[machine - 1] = load, lanes.time(load)
         if steps is not None:
-            steps.append((job_id, machine, loads[machine - 1]))
-    return loads, as_time
+            steps.append((job_id, machine, load))
+    return loads
 
 
 def trace_jsonl(trace: Sequence[TraceStep]) -> str:

@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line interface."""
 from __future__ import annotations
 
+import ast
 import json
 import re
 import shlex
@@ -18,13 +19,15 @@ from listsched.harness import REPORT_COLUMNS, verify_bound
 from listsched.model import format_instance
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_examples() -> list[tuple[list[str], list[str]]]:
     """(argv, shown stdout lines) for each `$ listsched ...` line in the
     README's console blocks; output shown up to a '...' line is only the
     first lines of what the command prints."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
     examples = []
-    for block in re.findall(r"```console\n(.*?)```", readme.read_text(), re.S):
+    for block in re.findall(r"```console\n(.*?)```", README.read_text(), re.S):
         for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
             command, *shown = chunk.splitlines()
             examples.append((shlex.split(command), shown))
@@ -45,6 +48,27 @@ def test_readme_console_examples(argv, shown, capsys):
         shown = shown[:-1]
         out = out[: len(shown)]
     assert out == shown
+
+
+def test_readme_library_example():
+    """Run the README's Library block: a bare comparison must hold, and any
+    other bare expression must equal the value its comment shows."""
+    block = re.search(r"## Library\n\n```python\n(.*?)```", README.read_text(), re.S)
+    lines = block.group(1).splitlines()
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(block.group(1)).body:
+        if not isinstance(statement, ast.Expr):
+            exec(compile(ast.Module([statement], []), "README", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(statement.value), "README", "eval"), namespace)
+        if isinstance(statement.value, ast.Compare):
+            assert value is True, lines[statement.lineno - 1]
+        else:
+            comment = lines[statement.lineno - 1][statement.end_col_offset :]
+            assert value == eval(comment.strip().removeprefix("# "), namespace)
+        checked += 1
+    assert checked == 6
 
 
 def test_run_family_text(capsys):
@@ -124,6 +148,41 @@ def test_run_family_without_m_is_usage_error(capsys):
     assert "--family requires --m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "worst-order"])
+def test_m_with_instance_is_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "jobs.txt"
+    path.write_text("m=3\n1\n2\n")
+    assert main([command, "--instance", str(path), "--m", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --m applies only to --family\n"
+
+
+ORDER_FILES = {
+    "rational-file": "m=3\n1/2\n2/3\n1\n5/4\n2\n",
+    "sqrt2-file": "m=2\n1 + 1 r2\n1\n2\n3/2 + 1/2 r2\n",
+}
+ORDER_SOURCES = [
+    f"--family {family} --m {m}"
+    for family in ("class1", "class2", "graham_tight", "faigle")
+    for m in (2, 3, 5)
+] + list(ORDER_FILES)
+
+
+@pytest.mark.parametrize("source", ORDER_SOURCES)
+def test_given_and_as_listed_orders_print_the_same_bytes(source, tmp_path, capsys):
+    argv = source.split()
+    if source in ORDER_FILES:
+        path = tmp_path / "jobs.txt"
+        path.write_text(ORDER_FILES[source])
+        argv = ["--instance", str(path)]
+    outputs = []
+    for order in ("given", "as-listed"):
+        assert main(["run", *argv, "--order", order]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
 def test_machine_counts_past_sys_maxsize_are_usage_errors(tmp_path, capsys):
     huge = "100000000000000000000"
     path = tmp_path / "huge.txt"
@@ -143,7 +202,8 @@ def test_family_too_large_for_memory_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: m=1000000000 is too large: a family lists up to m^2 jobs\n"
+        "error: m=1000000000 is too large: class1 lists 999999998000000002 "
+        "jobs, more than 10000000\n"
     )
 
 

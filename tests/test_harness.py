@@ -25,7 +25,7 @@ from listsched.harness import (
     worst_order_search,
 )
 from listsched.model import ArrivalOrder, Instance, Time
-from listsched.online import Lsa, OnlinePolicy, run_online
+from listsched.online import Lsa, OnlinePolicy, online_makespan, run_online
 from listsched.oracle import OPT_CERTIFIED
 
 TABLE2_EXPECTED = {
@@ -217,6 +217,34 @@ def test_lsa_subclass_is_scored_and_searched_with_its_own_rule():
     assert result.worst_makespan == worst
     assert result.best_order.permutation == orders[values.index(worst)]
     assert worst != worst_order_search(inst).worst_makespan
+
+
+class Named(Lsa):
+    """An Lsa subclass that keeps Lsa's rule and only renames itself."""
+
+    name = "named"
+
+
+def test_lsa_subclass_keeping_lsa_choose_runs_on_the_kernel(monkeypatch):
+    def refuse(self, loads, job=None):
+        raise AssertionError("Lsa.choose called for a job")
+
+    monkeypatch.setattr(Lsa, "choose", refuse)
+    rational = Instance.from_sizes([Fraction(1, 2), 1, 2, Fraction(4, 3), 3, 3], 3)
+    for inst in (gen_class1(5).instance, gen_faigle(4).instance, rational):
+        order = ArrivalOrder.as_listed(inst)
+        for tie_break in ("low", "high"):
+            named, lsa = Named(tie_break), Lsa(tie_break)
+            assert run_online(inst, order, named) == run_online(inst, order, lsa)
+            want = online_makespan(inst, order, lsa)
+            assert online_makespan(inst, order, named) == want
+            report = competitive_ratio(inst, order, named)
+            assert report.policy == "named"
+            assert report.alg_makespan == want
+            assert report.ratio == competitive_ratio(inst, order, lsa).ratio
+            assert worst_order_search(inst, named) == worst_order_search(inst, lsa)
+            sampled = worst_order_search(inst, named, enumeration_cap=7, seed=3)
+            assert sampled == worst_order_search(inst, lsa, enumeration_cap=7, seed=3)
 
 
 def test_worst_order_search_tie_break_variant():

@@ -232,6 +232,19 @@ def test_custom_policy_runs_and_bad_policy_rejected():
         run_online(inst, ArrivalOrder.as_listed(inst), Broken())
 
 
+def test_custom_policy_chooses_from_time_loads_on_a_rational_instance():
+    class TimeScan(ScanLow):
+        def choose(self, loads, job=None):
+            assert all(type(load) is Time for load in loads)
+            return super().choose(loads, job)
+
+    inst = Instance.from_sizes([Fraction(1, 2), Fraction(2, 3), 1, Fraction(5, 4), 2], 3)
+    assert inst.lanes.scale == 12
+    order = ArrivalOrder((5, 1, 4, 2, 3))
+    assert run_online(inst, order, TimeScan()) == run_online(inst, order, Lsa())
+    assert online_makespan(inst, order, TimeScan()) == Time(Fraction(13, 6))
+
+
 def test_trace_jsonl_round_trips_exact_values():
     fam = gen_faigle(4)
     _, trace = run_online(fam.instance, fam.worst_order)

@@ -5,9 +5,10 @@ and the exact oracle against the greedy bound."""
 from __future__ import annotations
 
 import random
-from decimal import Context
+from decimal import ROUND_FLOOR, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,9 +93,10 @@ def _assert_ordered(left, right, want: int) -> None:
 )
 def test_time_agrees_with_a_50_digit_decimal(x, y, r, case):
     """All six comparisons against Time, int and Fraction (reflected too),
-    the parts surviving Time(Time(...)) and a file round-trip, and
-    sqrt2_sign, all checked against a 50-digit decimal evaluation; and a
-    rational Time hashing as the equal int or Fraction does."""
+    the parts surviving Time(Time(...)) and a file round-trip, sqrt2_sign,
+    floor() and decimal(4), all checked against a 50-digit decimal
+    evaluation; and a rational Time hashing as the equal int or Fraction
+    does."""
     if case == "same":
         y = x
     elif case == "rational" and not x[1]:
@@ -108,6 +110,12 @@ def test_time_agrees_with_a_50_digit_decimal(x, y, r, case):
     for a, b in (x, (r, y[1]), (-x[0], x[1])):
         value = _decimal(a, b)
         assert sqrt2_sign(a, b) == (value > 0) - (value < 0)
+    # scaled to integer parts, a value with b < 0 sits just below an integer
+    k = lcm(Fraction(x[0]).denominator, Fraction(x[1]).denominator)
+    for t, parts in ((tx, x), (ty, y), (tx * k, (x[0] * k, x[1] * k))):
+        value = _decimal(*parts)
+        assert t.floor() == value.to_integral_value(ROUND_FLOOR)
+        assert t.decimal(4) == str(value.quantize(Decimal("0.0001"), ROUND_HALF_UP))
     q = abs(r)
     assert hash(Time(q)) == hash(q)
     assert {q: 1}[Time(q)] == {Time(q): 1}[q] == 1
