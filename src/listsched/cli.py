@@ -100,11 +100,11 @@ def _resolve_instance(
 
 
 def _worst_order(args: argparse.Namespace, instance: Instance) -> WorstOrderResult:
+    options = {"enumeration_cap": args.cap, "seed": args.seed}
     return worst_order_search(
         instance,
         _policy(args.policy),
-        enumeration_cap=args.cap,
-        seed=args.seed,
+        **{name: value for name, value in options.items() if value is not None},
     )
 
 
@@ -134,6 +134,10 @@ def _report_text(report: RatioReport) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.order != "worst":
+        for option in ("cap", "seed"):
+            if getattr(args, option) is not None:
+                raise ValueError(f"--{option} applies only to --order worst")
     instance, family = _resolve_instance(args)
     order = _resolve_order(args, instance)
     tag = family.family_tag if family is not None else None
@@ -212,8 +216,7 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=_machine_count, help="machine count for --family")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", metavar="PATH", help="write output to a file")
 
 
@@ -240,15 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--format", choices=("text", "csv", "json"), default="text"
     )
+    # --cap and --seed stay None unless given, so run can refuse them
+    # without --order worst; the order search has their defaults
     run.add_argument(
-        "--cap", type=_positive, default=1_000_000,
-        help="order-search cap when --order worst",
+        "--cap", type=_positive,
+        help="order-search cap when --order worst (default 1000000)",
     )
     run.add_argument(
         "--node-budget", type=_positive, default=None,
         help="search budget for the exact optimum",
     )
-    _add_common(run)
+    run.add_argument(
+        "--seed", type=int, help="RNG seed when --order worst (default 0)"
+    )
+    _add_output(run)
     run.set_defaults(handler=cmd_run)
 
     t2 = sub.add_parser("table2", help="worst-order ratio table")
@@ -259,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated machine counts (default 2,3,4,5,10,50,100)",
     )
     t2.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(t2)
+    _add_output(t2)
     t2.set_defaults(handler=cmd_table2)
 
     verify = sub.add_parser("verify", help="randomized bound check")
@@ -268,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-m", type=_machine_count, default=4)
     verify.add_argument("--size-min", type=_positive, default=1)
     verify.add_argument("--size-max", type=_positive, default=9)
-    _add_common(verify)
+    verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    _add_output(verify)
     verify.set_defaults(handler=cmd_verify)
 
     worst = sub.add_parser("worst-order", help="search for the worst arrival order")
@@ -276,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     worst.add_argument(
         "--policy", choices=("lsa", "lsa-high"), default="lsa"
     )
-    worst.add_argument("--cap", type=_positive, default=1_000_000)
-    _add_common(worst)
+    worst.add_argument("--cap", type=_positive)
+    worst.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    _add_output(worst)
     worst.set_defaults(handler=cmd_worst_order)
 
     return parser

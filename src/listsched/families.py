@@ -144,12 +144,13 @@ def generate(family: str, m: int) -> GeneratedFamily:
 
 def family_sidecar(family: GeneratedFamily) -> str:
     """JSON sidecar with the tag, predictions, and adversarial order."""
+    instance = family.instance
     payload = {
         "family_tag": family.family_tag,
-        "machines": family.instance.machines,
+        "machines": instance.machines,
         "jobs": [
-            {"id": job.id, "size": format_time(job.size)}
-            for job in family.instance.jobs
+            {"id": job_id, "size": size}
+            for job_id, size in zip(instance.job_ids, map(format_time, instance.sizes))
         ],
         "worst_order": list(family.worst_order.permutation),
         "predicted_lsa": format_time(family.predicted_lsa),

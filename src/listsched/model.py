@@ -14,11 +14,11 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, isqrt, lcm
-from operator import attrgetter, lt
+from operator import attrgetter, floordiv, lt, mul
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 TimeLike = Union["Time", int, Fraction, str]
@@ -222,10 +222,19 @@ class Time:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        if self._b:
-            return hash((self._a, self._b, self._d))
-        # a rational value hashes as the equal int or Fraction does
-        return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        a, b, d = self._a, self._b, self._d
+        if b:
+            return hash((a, b, d))
+        # a rational value hashes as the equal int or Fraction does, by
+        # Fraction's rule on the reduced pair but with no Fraction built
+        if d == 1:
+            return hash(a)
+        try:
+            h = hash(hash(abs(a)) * pow(d, -1, sys.hash_info.modulus))
+        except ValueError:  # d is a multiple of the modulus: no inverse
+            h = sys.hash_info.inf
+        h = h if a >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
@@ -350,25 +359,29 @@ class Lanes(NamedTuple):
         return Time._make(value, 0, self.scale) if self.scale else value
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A job list (in listed order) together with the machine count."""
+_numerator, _sqrt2_coeff, _denominator = map(attrgetter, ("_a", "_b", "_d"))
+# the types Job turns into a Time; a float or Decimal may equal one of them
+_EXACT = (Time, int, Fraction, str)
 
-    jobs: tuple[Job, ...]
+
+@dataclass(frozen=True, init=False)
+class Instance:
+    """A job list (in listed order) together with the machine count.
+
+    The jobs are held as two columns, job_ids and sizes (each a Time), so
+    the greedy kernel, the oracle and the file writers read whole columns.
+    The Job objects are built only when jobs, job() or iteration asks for
+    them. Instance(jobs, machines) takes Job objects, and keeps them.
+    """
+
+    job_ids: tuple[int, ...]
+    sizes: tuple[Time, ...]
     machines: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        if self.machines < 2:
-            raise ValueError("an instance needs at least two machines")
-        if self.machines > sys.maxsize:
-            raise ValueError(
-                f"machine count {self.machines} is past the largest list "
-                f"index {sys.maxsize}"
-            )
-        if not self.jobs:
-            raise ValueError("an instance needs at least one job")
-        ids = self.job_ids
+    def __init__(self, jobs: Iterable[Job], machines: int):
+        jobs = tuple(jobs)
+        ids = tuple(map(attrgetter("id"), jobs))
+        self._fill(ids, tuple(map(attrgetter("size"), jobs)), machines)
         # increasing ids (from_sizes and files number jobs 1..n) cannot
         # repeat, and checking that needs no set of all ids
         if not all(map(lt, ids, islice(ids, 1, None))):
@@ -377,53 +390,76 @@ class Instance:
                 if job_id in seen:
                     raise ValueError(f"duplicate job id {job_id}")
                 seen.add(job_id)
+        self.__dict__["jobs"] = jobs
+
+    def _fill(self, ids: tuple, sizes: tuple, machines: int) -> None:
+        if machines < 2:
+            raise ValueError("an instance needs at least two machines")
+        if machines > sys.maxsize:
+            raise ValueError(
+                f"machine count {machines} is past the largest list "
+                f"index {sys.maxsize}"
+            )
+        if not ids:
+            raise ValueError("an instance needs at least one job")
+        self.__dict__.update(job_ids=ids, sizes=sizes, machines=machines)
 
     @classmethod
     def from_sizes(cls, sizes: Sequence[TimeLike], machines: int) -> "Instance":
-        """Build an instance with ids 1..n assigned in listed order."""
-        # families repeat a handful of sizes thousands of times: Job checks
-        # each distinct size once, and the later jobs of a size reuse it
-        checked: dict = {}
-        jobs = []
-        new, set_id, set_size = object.__new__, Job.id.__set__, Job.size.__set__
-        for i, s in enumerate(sizes, start=1):
-            size = checked.get(s)
-            if size is None:
-                job = Job(i, s)
-                checked[s] = job.size
-            else:
-                job = new(Job)
-                set_id(job, i)
-                set_size(job, size)
-            jobs.append(job)
-        return cls(tuple(jobs), machines)
+        """Build an instance with ids 1..n assigned in listed order.
 
+        Families repeat a handful of sizes thousands of times, so each
+        distinct size is converted and checked once, and equal sizes share
+        the one Time; no per-job object is built.
+        """
+        # a float equal to an exact size before it would pass as that size
+        if not all(issubclass(kind, _EXACT) for kind in set(map(type, sizes))):
+            bad = next(s for s in sizes if not isinstance(s, _EXACT))
+            raise TypeError(f"not an exact rational: {bad!r}")
+        checked = dict.fromkeys(sizes)
+        for s in checked:
+            size = as_time(s)
+            if not size:
+                # Job refuses it, naming the first job of that size
+                Job(sizes.index(s) + 1, size)
+            checked[s] = size
+        self = object.__new__(cls)
+        self._fill(
+            tuple(range(1, len(sizes) + 1)),
+            tuple(map(checked.__getitem__, sizes)),
+            machines,
+        )
+        return self
+
+    # Derived state is built on first use: the greedy paths read only the
+    # lanes, and a caller that keeps many instances keeps no map unused.
     @cached_property
-    def job_ids(self) -> tuple[int, ...]:
-        return tuple(map(attrgetter("id"), self.jobs))
+    def jobs(self) -> tuple[Job, ...]:
+        return tuple(map(Job, self.job_ids, self.sizes))
 
     def job(self, job_id: int) -> Job:
         return self._by_id[job_id]
 
-    # Derived state is built on first use: the greedy paths read only the
-    # lanes, and a caller that keeps many instances keeps neither map unused.
     @cached_property
     def _by_id(self) -> dict[int, Job]:
-        return {job.id: job for job in self.jobs}
+        return dict(zip(self.job_ids, self.jobs))
 
     @cached_property
     def lanes(self) -> Lanes:
         """The job sizes as lane values."""
-        jobs = self.jobs
-        if any(job.size._b for job in jobs):
-            return Lanes({job.id: job.size for job in jobs}, Time(0), 0)
-        scale = lcm(*{job.size._d for job in jobs})
-        return Lanes(
-            {job.id: job.size._a * (scale // job.size._d) for job in jobs}, 0, scale
-        )
+        ids, sizes = self.job_ids, self.sizes
+        if any(map(_sqrt2_coeff, sizes)):
+            return Lanes(dict(zip(ids, sizes)), Time(0), 0)
+        scale = lcm(*set(map(_denominator, sizes)))
+        values = map(_numerator, sizes)
+        if scale > 1:
+            values = map(
+                mul, values, map(floordiv, repeat(scale), map(_denominator, sizes))
+            )
+        return Lanes(dict(zip(ids, values)), 0, scale)
 
     def __len__(self) -> int:
-        return len(self.jobs)
+        return len(self.job_ids)
 
     def __iter__(self) -> Iterator[Job]:
         return iter(self.jobs)
@@ -444,7 +480,7 @@ class ArrivalOrder:
 
     def covers(self, instance: Instance) -> bool:
         """True when this is a permutation of exactly the instance's job ids."""
-        return len(self.permutation) == len(instance.jobs) and sorted(
+        return len(self.permutation) == len(instance) and sorted(
             self.permutation
         ) == sorted(instance.job_ids)
 
@@ -485,19 +521,20 @@ def _implied_loads(
     instance: Instance, assignment: Mapping[int, int]
 ) -> Union[tuple[Time, ...], str]:
     """The machine loads an assignment implies, or what is wrong with it."""
-    loads = [Time(0)] * instance.machines
+    lanes = instance.lanes
+    loads = [lanes.zero] * instance.machines
     for job_id, machine in assignment.items():
         try:
-            job = instance.job(job_id)
+            size = lanes.sizes[job_id]
         except KeyError:
             return f"assignment mentions unknown job {job_id}"
         if not 1 <= machine <= instance.machines:
             return f"job {job_id} assigned to invalid machine {machine}"
-        loads[machine - 1] = loads[machine - 1] + job.size
+        loads[machine - 1] += size
     missing = set(instance.job_ids) - set(assignment)
     if missing:
         return f"jobs never assigned: {sorted(missing)}"
-    return tuple(loads)
+    return tuple(map(lanes.time, loads))
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> Optional[str]:
@@ -529,7 +566,7 @@ class InstanceParseError(ValueError):
 def format_instance(instance: Instance) -> str:
     """Serialize: 'm=<machines>' then one job size per line, listed order."""
     lines = [f"m={instance.machines}"]
-    lines.extend(format_time(job.size) for job in instance.jobs)
+    lines.extend(map(format_time, instance.sizes))
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import ArrivalOrder, Instance, Schedule, Time, total_load
-from .online import online_makespan, run_online
+from .online import greedy, run_online
 
 __all__ = [
     "OPT_EXACT",
@@ -92,15 +92,17 @@ def opt_exact(
     if node_budget < 0:
         raise ValueError("node_budget must be non-negative")
     lb = lower_bound(instance)
-    lpt = lpt_order(instance)
-    best = online_makespan(instance, lpt)
+    m = instance.machines
+    lanes = instance.lanes
+    # the sizes largest first: the LPT order's size sequence, which is all
+    # that its greedy makespan and the search below depend on
+    descending = sorted(lanes.sizes.values(), reverse=True)
+    n = len(descending)
+    best = lanes.time(max(greedy(range(n), descending, [lanes.zero] * m)))
     if best == lb:
         return OptResult(best, OPT_CERTIFIED, 0)
 
-    m = instance.machines
-    lanes = instance.lanes
-    sizes = [lanes.time(lanes.sizes[job_id]) for job_id in lpt.permutation]
-    n = len(sizes)
+    sizes = list(map(lanes.time, descending))
     loads = [Time(0)] * m
     # per job: the next machine to try and its load before the job
     next_machine = [0] * n

@@ -158,6 +158,35 @@ def test_m_with_instance_is_usage_error(command, tmp_path, capsys):
     assert captured.err == "error: --m applies only to --family\n"
 
 
+@pytest.mark.parametrize("order", [[], ["--order", "given"], ["--order", "as-listed"]])
+@pytest.mark.parametrize("option", [["--cap", "5"], ["--seed", "9"], ["--seed", "0"]])
+def test_search_options_without_worst_order_are_usage_errors(order, option, capsys):
+    assert main(["run", "--family", "class1", "--m", "3", *order, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option[0]} applies only to --order worst\n"
+
+
+def test_table2_takes_no_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table2", "--machines", "2", "--seed", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --seed 5" in captured.err
+
+
+def test_run_worst_order_takes_the_search_options(tmp_path, capsys):
+    # 21 distinct sizes: past sys.maxsize orders, so cap and seed pick a sample
+    path = tmp_path / "distinct.txt"
+    path.write_text("m=3\n" + "".join(f"{k}\n" for k in range(1, 22)))
+    options = ["--instance", str(path), "--cap", "30", "--seed", "7"]
+    assert main(["worst-order", *options]) == 0
+    worst = re.search(r"worst makespan: (\S+)", capsys.readouterr().out).group(1)
+    assert main(["run", "--order", "worst", *options]) == 0
+    assert f"alg makespan: {worst}\n" in capsys.readouterr().out
+
+
 ORDER_FILES = {
     "rational-file": "m=3\n1/2\n2/3\n1\n5/4\n2\n",
     "sqrt2-file": "m=2\n1 + 1 r2\n1\n2\n3/2 + 1/2 r2\n",

@@ -24,7 +24,7 @@ from listsched.harness import (
     verify_bound,
     worst_order_search,
 )
-from listsched.model import ArrivalOrder, Instance, Time
+from listsched.model import ArrivalOrder, Instance, Job, Time
 from listsched.online import Lsa, OnlinePolicy, online_makespan, run_online
 from listsched.oracle import OPT_CERTIFIED
 
@@ -103,6 +103,25 @@ def test_ratio_report_more_examples():
     assert report.ratio_exact == "(4+3r2)/(2+2r2)"
     assert report.ratio_4dp == "1.7071"
     assert report.bound_satisfied is True
+
+
+def test_scoring_a_family_builds_no_job(monkeypatch):
+    family = gen_class2(30)
+    built = []
+    post_init = Job.__post_init__
+
+    def counted(job):
+        built.append(job.id)
+        post_init(job)
+
+    monkeypatch.setattr(Job, "__post_init__", counted)
+    report = competitive_ratio(
+        family.instance, family.worst_order, family_tag=family.family_tag
+    )
+    assert report.ratio_4dp == "1.0322"
+    # the instance's columns and lanes serve the greedy run and the oracle
+    assert built == []
+    assert "jobs" not in vars(family.instance)
 
 
 def test_untagged_report_uses_digest_label():

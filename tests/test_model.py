@@ -1,6 +1,7 @@
 """Exact arithmetic, domain types, and the instance file format."""
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from decimal import Decimal, getcontext
@@ -256,6 +257,10 @@ def test_instance_ids_in_any_order_and_their_duplicates():
     jobs = [Job(job_id, Time(job_id)) for job_id in (5, 2, 9, 1)]
     inst = Instance(tuple(jobs), 2)
     assert inst.job_ids == (5, 2, 9, 1)
+    assert inst.sizes == (Time(5), Time(2), Time(9), Time(1))
+    # the Job objects given are the ones the instance hands out
+    assert all(map(operator.is_, inst.jobs, jobs))
+    assert inst.job(9) is jobs[2]
     assert ArrivalOrder((1, 2, 5, 9)).covers(inst)
     with pytest.raises(ValueError, match="duplicate job id 2"):
         Instance(tuple(jobs) + (Job(2, Time(3)), Job(5, Time(1))), 2)
@@ -274,6 +279,17 @@ def test_from_sizes_checks_each_distinct_size_once():
         Instance.from_sizes([1, 0, 0], 2)
     with pytest.raises(TypeError):
         Instance.from_sizes([1, 1.5], 2)
+
+
+@pytest.mark.parametrize(
+    "exact, inexact",
+    [(1, 1.0), (Fraction(1, 2), 0.5), (Time(2), Decimal(2)), (3, Decimal("3.0"))],
+)
+def test_from_sizes_refuses_inexact_sizes_wherever_they_stand(exact, inexact):
+    # an inexact size equal to an exact one is refused on either side of it
+    for sizes in ([exact, inexact], [inexact, exact], [exact, exact, inexact]):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            Instance.from_sizes(sizes, 2)
 
 
 def test_machine_counts_past_the_largest_list_index_are_refused():

@@ -1,10 +1,12 @@
 """Property tests: the ordering, hashing and field laws of exact Time
-values, the greedy kernel, its bulk placement of long runs and its
-invariants under any arrival order, the coded order search, rank/unrank,
-and the exact oracle against the greedy bound."""
+values, Instance.from_sizes against one Job per size, the greedy kernel,
+its bulk placement of long runs and its invariants under any arrival
+order, the coded order search, rank/unrank, and the exact oracle against
+the greedy bound."""
 from __future__ import annotations
 
 import random
+import sys
 from decimal import ROUND_FLOOR, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from itertools import permutations
@@ -18,7 +20,9 @@ from listsched.harness import worst_order_search
 from listsched.model import (
     ArrivalOrder,
     Instance,
+    Job,
     Time,
+    format_instance,
     format_time,
     parse_time,
     sqrt2_sign,
@@ -119,6 +123,10 @@ def test_time_agrees_with_a_50_digit_decimal(x, y, r, case):
     q = abs(r)
     assert hash(Time(q)) == hash(q)
     assert {q: 1}[Time(q)] == {Time(q): 1}[q] == 1
+    # a denominator that is a multiple of the hash modulus has no inverse
+    # modulo it, so such a value hashes as sys.hash_info.inf does
+    far = Fraction(q, sys.hash_info.modulus)
+    assert hash(Time(far)) == hash(far)
 
 
 @PROPERTY
@@ -141,6 +149,39 @@ def instances(draw, max_n: int = 9, max_m: int = 5) -> Instance:
     pool = draw(st.sampled_from([RATIONAL_SIZES, SQRT2_SIZES]))
     sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_n))
     return Instance.from_sizes(sizes, draw(st.integers(2, max_m)))
+
+
+# every kind of size from_sizes takes, positive, with equal values recurring
+# across kinds (2, Fraction(2), "2" and Time(2) are one size)
+MIXED_SIZES = st.one_of(
+    st.integers(1, 5),
+    st.fractions(Fraction(1, 2), 5, max_denominator=3),
+    st.sampled_from(["2", "5/2", "1 + 1 r2", "3/2 - 1/2 r2"]),
+    st.sampled_from(RATIONAL_SIZES),
+    st.sampled_from(SQRT2_SIZES),
+)
+
+
+@PROPERTY
+@given(st.lists(MIXED_SIZES, min_size=1, max_size=8), st.integers(2, 4))
+def test_from_sizes_matches_building_each_job(sizes, m):
+    """The columns from_sizes fills give the instance that numbering a
+    Job per size gives: equal and equally hashed, with the same ids, jobs,
+    lanes, file bytes and exact optimum down to its node count."""
+    instance = Instance.from_sizes(sizes, m)
+    built = Instance(tuple(Job(i, s) for i, s in enumerate(sizes, start=1)), m)
+    assert instance == built
+    assert hash(instance) == hash(built)
+    assert instance.job_ids == built.job_ids
+    assert instance.jobs == built.jobs
+    assert instance.lanes == built.lanes
+    assert format_instance(instance) == format_instance(built)
+    got, want = opt_exact(instance), opt_exact(built)
+    assert (got.value, got.kind, got.nodes_explored) == (
+        want.value,
+        want.kind,
+        want.nodes_explored,
+    )
 
 
 @st.composite
