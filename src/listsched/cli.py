@@ -31,18 +31,22 @@ from .harness import (
     verify_bound,
     worst_order_search,
 )
-from .model import ArrivalOrder, Instance, _write_atomic, format_time, load_instance
+from .model import Instance, _write_atomic, format_time, load_instance
 from .online import Lsa
 
 OUTPUT_DIR_VAR = "LISTSCHED_OUTPUT_DIR"
 DEFAULT_MACHINES = (2, 3, 4, 5, 10, 50, 100)
 
 
-def _machine_count(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _machine_count(text: str) -> int:
+    value = _int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"machine count must be >= 2, got {value}")
     return value
@@ -56,10 +60,7 @@ def _machine_list(text: str) -> list[int]:
 
 
 def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -69,21 +70,16 @@ def _policy(name: str) -> Lsa:
     return Lsa("high" if name == "lsa-high" else "low")
 
 
-def _out_path(path: str) -> Path:
-    p = Path(path)
-    base = os.environ.get(OUTPUT_DIR_VAR)
-    if base and not p.is_absolute():
-        return Path(base) / p
-    return p
-
-
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
-        destination = _out_path(output)
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(destination, text)
+        return
+    destination = Path(output)
+    base = os.environ.get(OUTPUT_DIR_VAR)
+    if base and not destination.is_absolute():
+        destination = Path(base) / destination
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomic(destination, text)
 
 
 def _resolve_instance(
@@ -106,13 +102,6 @@ def _worst_order(args: argparse.Namespace, instance: Instance) -> WorstOrderResu
         _policy(args.policy),
         **{name: value for name, value in options.items() if value is not None},
     )
-
-
-def _resolve_order(args: argparse.Namespace, instance: Instance) -> ArrivalOrder:
-    if args.order == "worst":
-        return _worst_order(args, instance).best_order
-    # 'given' and 'as-listed' alike: a family lists its adversarial order
-    return ArrivalOrder.as_listed(instance)
 
 
 def _report_text(report: RatioReport) -> str:
@@ -139,7 +128,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             if getattr(args, option) is not None:
                 raise ValueError(f"--{option} applies only to --order worst")
     instance, family = _resolve_instance(args)
-    order = _resolve_order(args, instance)
+    order = None  # 'given' and 'as-listed': a family lists its adversarial order
+    if args.order == "worst":
+        order = _worst_order(args, instance).best_order
     tag = family.family_tag if family is not None else None
     report = competitive_ratio(
         instance,

@@ -95,16 +95,12 @@ class RatioReport:
 
     @property
     def ratio_exact(self) -> str:
-        return _quotient_str(self.alg_makespan, self.opt.value)
+        return f"{_side_str(self.alg_makespan)}/{_side_str(self.opt.value)}"
 
 
 def _side_str(t: Time) -> str:
     s = format_time(t, compact=True)
     return f"({s})" if ("r2" in s or "/" in s) else s
-
-
-def _quotient_str(numerator: Time, denominator: Time) -> str:
-    return f"{_side_str(numerator)}/{_side_str(denominator)}"
 
 
 def competitive_ratio(
@@ -257,8 +253,6 @@ def table2(machine_counts: Sequence[int]) -> list[Table2Row]:
     """
     rows = []
     for m in machine_counts:
-        if m < 2:
-            raise ValueError(f"machine count must be at least 2, got {m}")
         class1, class2 = (
             competitive_ratio(f.instance, f.worst_order, family_tag=f.family_tag)
             for f in (gen_class1(m), gen_class2(m))

@@ -500,41 +500,29 @@ class Schedule:
     loads: tuple[Time, ...]
     makespan: Time
 
-    def machine_of(self, job_id: int) -> int:
-        return self.assignment[job_id]
-
 
 def build_schedule(instance: Instance, assignment: Mapping[int, int]) -> Schedule:
     """Construct a schedule from a job-id -> machine map, checking it fully."""
-    loads = _implied_loads(instance, assignment)
-    if isinstance(loads, str):
-        raise ValueError(loads)
-    return Schedule(dict(assignment), loads, max(loads))
-
-
-def total_load(instance: Instance) -> Time:
-    lanes = instance.lanes
-    return lanes.time(sum(lanes.sizes.values(), lanes.zero))
-
-
-def _implied_loads(
-    instance: Instance, assignment: Mapping[int, int]
-) -> Union[tuple[Time, ...], str]:
-    """The machine loads an assignment implies, or what is wrong with it."""
     lanes = instance.lanes
     loads = [lanes.zero] * instance.machines
     for job_id, machine in assignment.items():
         try:
             size = lanes.sizes[job_id]
         except KeyError:
-            return f"assignment mentions unknown job {job_id}"
+            raise ValueError(f"assignment mentions unknown job {job_id}") from None
         if not 1 <= machine <= instance.machines:
-            return f"job {job_id} assigned to invalid machine {machine}"
+            raise ValueError(f"job {job_id} assigned to invalid machine {machine}")
         loads[machine - 1] += size
     missing = set(instance.job_ids) - set(assignment)
     if missing:
-        return f"jobs never assigned: {sorted(missing)}"
-    return tuple(map(lanes.time, loads))
+        raise ValueError(f"jobs never assigned: {sorted(missing)}")
+    loads = tuple(map(lanes.time, loads))
+    return Schedule(dict(assignment), loads, max(loads))
+
+
+def total_load(instance: Instance) -> Time:
+    lanes = instance.lanes
+    return lanes.time(sum(lanes.sizes.values(), lanes.zero))
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> Optional[str]:
@@ -544,9 +532,10 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> Optional[str]:
             f"schedule has {len(schedule.loads)} loads for "
             f"{instance.machines} machines"
         )
-    expected = _implied_loads(instance, schedule.assignment)
-    if isinstance(expected, str):
-        return expected
+    try:
+        expected = build_schedule(instance, schedule.assignment).loads
+    except ValueError as exc:
+        return str(exc)
     for k, (want, got) in enumerate(zip(expected, schedule.loads), start=1):
         if want != got:
             return f"machine {k} load is {got}, assignment implies {want}"

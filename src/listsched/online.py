@@ -192,8 +192,6 @@ class Trace(Sequence):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, (Trace, list)) and list(self) == list(other)
 
-    __hash__ = None  # type: ignore[assignment]
-
 
 def run_online(
     instance: Instance,

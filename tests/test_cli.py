@@ -7,13 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import listsched
 from conftest import deep_instance
-from listsched import harness
+from listsched import cli, harness
 from listsched.cli import OUTPUT_DIR_VAR, main
 from listsched.harness import REPORT_COLUMNS, verify_bound
 from listsched.model import format_instance
@@ -261,6 +262,66 @@ def test_argparse_rejections():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--trials", "0"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("run --family class1 --m x", "run: error: argument --m: not an integer: 'x'"),
+        ("table2 --machines ,", "table2: error: argument --machines: empty machine list"),
+        ("verify --trials x", "verify: error: argument --trials: not an integer: 'x'"),
+    ],
+)
+def test_bad_option_values_are_argparse_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"\nlistsched {message}\n")
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_instance", exhausted)
+    assert main(["run", "--instance", "jobs.txt"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+def test_wrong_class1_optimum_is_an_invariant_violation(monkeypatch, capsys):
+    real = harness.opt_exact
+
+    def off_by_one(instance, budget):
+        opt = real(instance, budget)
+        return type(opt)(opt.value + 1, opt.kind, opt.nodes_explored)
+
+    monkeypatch.setattr(harness, "opt_exact", off_by_one)
+    assert main(["run", "--family", "class1", "--m", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invariant violated: oracle disagreement on class1 m=4: "
+        "search says 5, closed form says 4\n"
+    )
+
+
+def test_verify_exits_1_when_the_bound_fails(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "greedy_bound", lambda m: Fraction(1, 2))
+    assert main(["verify", "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bound violated: ratio ")
+    assert "exceeds bound 0.5000" in captured.err
+
+
+def test_run_prints_its_report_then_exits_1_when_the_bound_fails(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "greedy_bound", lambda m: Fraction(1, 2))
+    assert main(["run", "--family", "class1", "--m", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "ratio: 6/4 = 1.5000\nbound 2-1/m: 0.5000\nbound satisfied: NO\n" in captured.out
+    assert captured.err == "bound violated: see report above\n"
 
 
 def test_table2_csv(capsys):

@@ -124,6 +124,16 @@ def test_scoring_a_family_builds_no_job(monkeypatch):
     assert "jobs" not in vars(family.instance)
 
 
+def test_exact_optimum_below_the_greedy_makespan_is_an_invariant_violation(monkeypatch):
+    inst = Instance.from_sizes([1, 1, 2], 2)
+    real = harness.opt_exact(inst)
+    assert real.is_exact
+    inflated = type(real)(real.value + 2, real.kind, real.nodes_explored)
+    monkeypatch.setattr(harness, "opt_exact", lambda instance, budget: inflated)
+    with pytest.raises(RuntimeError, match=r"ratio 3/4 below 1 against an exact optimum"):
+        competitive_ratio(inst)
+
+
 def test_untagged_report_uses_digest_label():
     inst = Instance.from_sizes([1, 1, 2], 2)
     report = competitive_ratio(inst)

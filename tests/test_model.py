@@ -43,6 +43,21 @@ def test_construction_and_parts():
     assert not u.is_rational and not u.is_integer
     assert Time("4 + 3 r2") == Time(4, 3)
     assert Time(Time(4, 3)) == Time(4, 3)
+    with pytest.raises(TypeError, match="cannot be combined"):
+        Time("1", 1)
+    with pytest.raises(ValueError, match="irrational part"):
+        SQRT2.as_fraction()
+
+
+@pytest.mark.parametrize(
+    "t",
+    [Time(0), Time(7), Time(Fraction(3, 8)), SQRT2, Time(Fraction(5, 2), Fraction(-1, 3)),
+     Time(0, Fraction(4, 9)), Time(2, 1)],
+    ids=repr,
+)
+def test_repr_literal_builds_the_same_value(t):
+    assert repr(t).startswith("Time('") and repr(t).endswith("')")
+    assert Time(repr(t)[6:-2]) == t
 
 
 def test_integer_values_round_trip_exactly():
@@ -356,6 +371,27 @@ def test_validate_schedule_names_first_violation():
 
     bad_makespan = Schedule({1: 1, 2: 2, 3: 2}, (Time(1), Time(3)), Time(1))
     assert "makespan" in validate_schedule(inst, bad_makespan)
+
+
+BROKEN_ASSIGNMENTS = {
+    "unknown job": {1: 1, 2: 2, 3: 2, 4: 1},
+    "machine 0": {1: 1, 2: 0, 3: 2},
+    "machine m+1": {1: 1, 2: 2, 3: 3},
+    "job never assigned": {1: 1, 3: 2},
+}
+
+
+@pytest.mark.parametrize(
+    "sizes", [[1, 1, 2], [Fraction(1, 2), 3, Fraction(5, 3)], [SQRT2, 1, Time(1, 1)]]
+)
+@pytest.mark.parametrize("broken", BROKEN_ASSIGNMENTS)
+def test_validate_schedule_returns_what_build_schedule_raises(sizes, broken):
+    inst = Instance.from_sizes(sizes, 2)
+    assignment = BROKEN_ASSIGNMENTS[broken]
+    with pytest.raises(ValueError) as exc:
+        build_schedule(inst, assignment)
+    loads = (Time(1), Time(1))
+    assert validate_schedule(inst, Schedule(assignment, loads, Time(1))) == str(exc.value)
 
 
 def test_total_load_examples():
