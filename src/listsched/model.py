@@ -12,11 +12,12 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import islice, repeat
+from itertools import repeat
 from math import gcd, isqrt, lcm
-from operator import attrgetter, floordiv, lt, mul
+from operator import attrgetter, floordiv, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -284,17 +285,21 @@ def as_time(value: TimeLike) -> Time:
 
 
 def _render_rat(n: int, d: int) -> str:
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+        n, d = (format(Decimal(k), "f") for k in (n, d))
+        return n if d == "1" else f"{n}/{d}"
 
 
 def _render(a: int, b: int, d: int, compact: bool) -> str:
-    ra = Fraction(a, d)
-    rb = Fraction(b, d)
-    head = _render_rat(ra.numerator, ra.denominator)
-    if not rb:
+    g = gcd(a, d)
+    head = _render_rat(a // g, d // g)
+    if not b:
         return head
-    sign = "-" if rb < 0 else "+"
-    coeff = _render_rat(abs(rb.numerator), rb.denominator)
+    sign = "-" if b < 0 else "+"
+    g = gcd(b, d)
+    coeff = _render_rat(abs(b) // g, d // g)
     if compact:
         return f"{head}{sign}{coeff}r2"
     return f"{head} {sign} {coeff} r2"
@@ -382,14 +387,11 @@ class Instance:
         jobs = tuple(jobs)
         ids = tuple(map(attrgetter("id"), jobs))
         self._fill(ids, tuple(map(attrgetter("size"), jobs)), machines)
-        # increasing ids (from_sizes and files number jobs 1..n) cannot
-        # repeat, and checking that needs no set of all ids
-        if not all(map(lt, ids, islice(ids, 1, None))):
-            seen = set()
-            for job_id in ids:
-                if job_id in seen:
-                    raise ValueError(f"duplicate job id {job_id}")
-                seen.add(job_id)
+        seen = set()
+        for job_id in ids:
+            if job_id in seen:
+                raise ValueError(f"duplicate job id {job_id}")
+            seen.add(job_id)
         self.__dict__["jobs"] = jobs
 
     def _fill(self, ids: tuple, sizes: tuple, machines: int) -> None:
@@ -516,8 +518,8 @@ def build_schedule(instance: Instance, assignment: Mapping[int, int]) -> Schedul
     missing = set(instance.job_ids) - set(assignment)
     if missing:
         raise ValueError(f"jobs never assigned: {sorted(missing)}")
-    loads = tuple(map(lanes.time, loads))
-    return Schedule(dict(assignment), loads, max(loads))
+    makespan = lanes.time(max(loads))
+    return Schedule(dict(assignment), tuple(map(lanes.time, loads)), makespan)
 
 
 def total_load(instance: Instance) -> Time:
@@ -561,43 +563,37 @@ def format_instance(instance: Instance) -> str:
 
 def parse_instance(text: str) -> Instance:
     """Parse the serialized form; '#' starts a comment, blank lines skipped."""
-    machines: Optional[int] = None
-    machines_line = 0
-    sized: list[tuple[int, Time]] = []
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if machines is None:
-            if not line.startswith("m="):
-                raise InstanceParseError(line_no, "expected machine count 'm=<int>'")
-            try:
-                machines = int(line[2:])
-            except ValueError:
-                raise InstanceParseError(
-                    line_no, f"bad machine count {line[2:]!r}"
-                ) from None
-            machines_line = line_no
-            continue
+    lines = text.splitlines()
+    stripped = ((no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(lines, 1))
+    content = [(line_no, line) for line_no, line in stripped if line]
+    if not content:
+        raise InstanceParseError(len(lines) + 1, "missing machine count 'm=<int>'")
+    (machines_line, header), *body = content
+    if not header.startswith("m="):
+        raise InstanceParseError(machines_line, "expected machine count 'm=<int>'")
+    try:
+        machines = int(header[2:])
+    except ValueError:
+        raise InstanceParseError(
+            machines_line, f"bad machine count {header[2:]!r}"
+        ) from None
+    sizes = []
+    for line_no, line in body:
         try:
-            sized.append((line_no, parse_time(line)))
+            sizes.append(parse_time(line))
         except ValueError as exc:
             raise InstanceParseError(line_no, str(exc)) from None
-    if machines is None:
-        raise InstanceParseError(last_line + 1, "missing machine count 'm=<int>'")
     if machines < 2:
         raise InstanceParseError(machines_line, f"machine count {machines} below 2")
-    if not sized:
-        raise InstanceParseError(last_line + 1, "instance has no jobs")
-    jobs = []
-    for job_id, (line_no, size) in enumerate(sized, start=1):
-        try:
-            jobs.append(Job(job_id, size))
-        except ValueError as exc:
-            raise InstanceParseError(line_no, str(exc)) from None
-    return Instance(tuple(jobs), machines)
+    if not sizes:
+        raise InstanceParseError(len(lines) + 1, "instance has no jobs")
+    try:
+        return Instance.from_sizes(sizes, machines)
+    except ValueError as exc:
+        if all(sizes):  # m past sys.maxsize: no size line is at fault
+            raise
+        # from_sizes names the first zero-size job; report it at its line
+        raise InstanceParseError(body[sizes.index(0)][0], str(exc)) from None
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

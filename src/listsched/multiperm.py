@@ -8,7 +8,7 @@ sampling over distinct permutations via uniform ranks.
 from __future__ import annotations
 
 from collections import Counter
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -23,11 +23,11 @@ __all__ = [
 
 def permutation_count(items: Sequence[T]) -> int:
     """Number of distinct permutations: n! over the product of multiplicities."""
-    counts = Counter(items)
-    total = factorial(sum(counts.values()))
-    for c in counts.values():
-        total //= factorial(c)
-    return total
+    return _count(Counter(items))
+
+
+def _count(counts: Counter) -> int:
+    return factorial(sum(counts.values())) // prod(map(factorial, counts.values()))
 
 
 def iter_permutations(items: Sequence[T]) -> Iterator[tuple[T, ...]]:
@@ -56,7 +56,7 @@ def rank_permutation(sequence: Sequence[T]) -> int:
     """Zero-based index of this arrangement in lexicographic order."""
     counts = Counter(sequence)
     keys = sorted(counts)
-    remaining = permutation_count(sequence)
+    remaining = _count(counts)
     n = len(sequence)
     rank = 0
     for pos, value in enumerate(sequence):
@@ -78,7 +78,7 @@ def unrank_permutation(items: Sequence[T], rank: int) -> tuple[T, ...]:
     """The arrangement at the given zero-based lexicographic index."""
     counts = Counter(items)
     keys = sorted(counts)
-    remaining = permutation_count(items)
+    remaining = _count(counts)
     if not 0 <= rank < max(remaining, 1):
         raise ValueError(f"rank {rank} out of range for {remaining} permutations")
     n = len(items)

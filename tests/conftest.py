@@ -92,3 +92,18 @@ def deep_instance() -> Instance:
     no integer makespan can meet."""
     rng = random.Random(1500)
     return Instance.from_sizes([rng.randint(10, 99) for _ in range(1500)], 7)
+
+
+def reference_render(t: Time, compact: bool) -> str:
+    """File syntax of t, its rational and sqrt(2) parts written by Fraction.
+
+    Independent of the package's gcd-based rendering on purpose: it is the
+    reference that format_time is checked against.
+    """
+    head, rb = str(t.rational_part), t.sqrt2_part
+    if not rb:
+        return head
+    sign, coeff = "-" if rb < 0 else "+", abs(rb)
+    if compact:
+        return f"{head}{sign}{coeff}r2"
+    return f"{head} {sign} {coeff} r2"

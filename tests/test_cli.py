@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import re
 import shlex
@@ -377,6 +378,45 @@ def test_worst_order_instance_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "worst makespan: 3" in out
     assert "predicted" not in out
+
+
+def _greedy_makespan(sizes: list[Fraction], m: int) -> Fraction:
+    loads = [Fraction(0)] * m
+    for size in sizes:
+        loads[loads.index(min(loads))] += size
+    return max(loads)
+
+
+def test_values_past_the_int_digit_limit_print_exactly(tmp_path, capsys):
+    """Sizes 1/A, 1/B, 1/C with 2,201-digit A, B, C give makespans whose
+    denominators pass the interpreter's digit limit for str(int); they
+    print in full, as a Fraction reference writes them with the limit
+    lifted. A size literal past that limit stays a parse error."""
+    base = 10**2200
+    sizes = [Fraction(1, base + k) for k in (1, 3, 7)]
+    path = tmp_path / "wide.txt"
+    path.write_text("m=2\n" + "".join(f"1/{base + k}\n" for k in (1, 3, 7)))
+    alg = _greedy_makespan(sizes, 2)
+    worst = max(_greedy_makespan(list(p), 2) for p in itertools.permutations(sizes))
+    limit = sys.get_int_max_str_digits()
+    assert alg.denominator > 10**limit > 1  # more than limit digits
+    sys.set_int_max_str_digits(0)
+    try:
+        alg_text, worst_text = str(alg), str(worst)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert main(["run", "--instance", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"alg makespan: {alg_text}\n" in captured.out
+    assert main(["worst-order", "--instance", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"worst makespan: {worst_text}\n" in captured.out
+    path.write_text(f"m=2\n1\n{'7' * (limit + 1)}\n")
+    assert main(["run", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: line 3: ")
 
 
 def test_output_written_to_file(tmp_path, capsys):

@@ -464,6 +464,34 @@ def test_instance_file_errors_name_lines():
         parse_instance("")
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        # each file holds two faults; the one reported is pinned
+        ("m=2\n1\n0\nbogus\n", 4, "bad time literal: 'bogus'"),
+        ("m=1\nbogus\n", 2, "bad time literal: 'bogus'"),
+        ("m=1\n0\n", 1, "machine count 1 below 2"),
+        ("m=1\n", 1, "machine count 1 below 2"),
+        ("m=two\n0\n", 1, "bad machine count 'two'"),
+        ("x=2\nbogus\n", 1, "expected machine count 'm=<int>'"),
+        ("m=99999999999999999999\n# c\n1\n\n0\n", 5, "job 2 must have positive size"),
+        ("m=2\n1\n# c\n0 + 0 r2\n0\n", 4, "job 2 must have positive size"),
+        ("m=2\n-1\n0\n", 2, "negative quantity: -1"),
+        ("m=2\n1\nm=3\n", 3, "bad time literal: 'm=3'"),
+        ("", 1, "missing machine count 'm=<int>'"),
+        ("# only a comment\n\n", 3, "missing machine count 'm=<int>'"),
+        ("\n\nm=2\n# no jobs\n", 5, "instance has no jobs"),
+        ("m=2", 2, "instance has no jobs"),
+        ("m=2\n1\n0", 3, "job 2 must have positive size"),
+    ],
+)
+def test_instance_file_error_precedence(text, line_no, message):
+    with pytest.raises(InstanceParseError) as raised:
+        parse_instance(text)
+    assert str(raised.value) == f"line {line_no}: {message}"
+    assert raised.value.line_no == line_no
+
+
 def test_save_and_load_instance(tmp_path):
     inst = Instance.from_sizes([1, Time(1, 1), 2], 2)
     path = tmp_path / "inst.txt"

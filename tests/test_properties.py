@@ -15,7 +15,7 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_greedy
+from conftest import reference_greedy, reference_render
 from listsched.harness import worst_order_search
 from listsched.model import (
     ArrivalOrder,
@@ -142,6 +142,28 @@ def test_time_obeys_the_field_laws(x, y, z):
         assert (a * b) / b == a
     low, high = (a, b) if a < b else (b, a)
     assert (high - low) + low == high
+
+
+# Raw triples of either sign, some far past a machine word; _make trusts
+# its caller, so negative values reach the renderer unchecked.
+RAW_TRIPLES = st.tuples(
+    st.one_of(st.integers(-50, 50), st.integers(-(10**40), 10**40)),
+    st.one_of(st.integers(-50, 50), st.integers(-(10**40), 10**40)),
+    st.one_of(st.integers(1, 60), st.integers(1, 10**30)),
+)
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        quantities().map(lambda parts: Time(*parts)),
+        RATIONALS.filter(lambda r: r >= 0).map(Time),
+        RAW_TRIPLES.map(lambda triple: Time._make(*triple)),
+    ),
+    st.booleans(),
+)
+def test_format_time_matches_a_fraction_reference(t, compact):
+    assert format_time(t, compact) == reference_render(t, compact)
 
 
 @st.composite
