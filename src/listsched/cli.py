@@ -12,6 +12,7 @@ Relative --output paths resolve against $LISTSCHED_OUTPUT_DIR when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     t2.add_argument(
         "--machines",
         type=_machine_list,
-        default=list(DEFAULT_MACHINES),
+        default=DEFAULT_MACHINES,
         help="comma-separated machine counts (default 2,3,4,5,10,50,100)",
     )
     t2.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -284,9 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process for main; build_parser() still returns a new one
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except BoundViolation as exc:

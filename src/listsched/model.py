@@ -609,17 +609,23 @@ def _write_atomic(destination: Path, text: str) -> None:
     the same directory, renamed into place: a failed write leaves neither a
     partial file nor the temporary one, and concurrent writers never share
     a temporary file."""
-    fd, tmp = tempfile.mkstemp(
-        dir=destination.parent, prefix=f".{destination.name}.", suffix=".tmp"
-    )
     try:
-        with open(fd, "w", encoding="utf-8") as out:
-            # mkstemp makes the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
-            out.write(text)
-        os.replace(tmp, destination)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(
+            dir=destination.parent, prefix=f".{destination.name}.", suffix=".tmp"
+        )
+        try:
+            with open(fd, "w", encoding="utf-8") as out:
+                # mkstemp makes the file 0600; give it the mode open() would
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fd, 0o666 & ~umask)
+                out.write(text)
+            os.replace(tmp, destination)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # name the destination, not a temporary file that no longer exists
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(destination)) from exc

@@ -1,9 +1,12 @@
 """End-to-end coverage of the command-line interface."""
 from __future__ import annotations
 
+import argparse
 import ast
+import errno
 import itertools
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -282,6 +285,82 @@ def test_bad_option_values_are_argparse_errors(argv, message, capsys):
     assert captured.err.endswith(f"\nlistsched {message}\n")
 
 
+# (COLUMNS, argv): every subcommand, help, usage errors and repeats, with the
+# terminal width changed between calls
+PARSER_CORPUS = [
+    ("80", "run --family class1 --m 3"),
+    ("80", "--help"),
+    ("80", "run --help"),
+    ("80", "table2 --machines 2,3 --format json"),
+    ("80", "run"),
+    ("80", "frobnicate"),
+    ("80", "run --family class1 --m 3 --seed 9"),
+    ("50", "run --help"),
+    ("50", "run --family class1 --m x"),
+    ("50", "table2 --machines ,"),
+    ("50", "table2 --machines 2 --seed 5"),
+    ("50", "verify --trials 0"),
+    ("50", "verify --trials 5 --seed 3"),
+    ("50", "worst-order --family class2 --m 2"),
+    ("50", "run --family class2 --m 3 --format csv"),
+    ("50", "--help"),
+    ("80", "run --family class1 --m 3"),
+    ("80", "table2 --machines 2,3 --format json"),
+    ("80", "worst-order --help"),
+    ("80", "run --family class1 --m x"),
+]
+
+
+def _run_corpus(monkeypatch, capsys) -> list[tuple]:
+    results = []
+    for columns, argv in PARSER_CORPUS:
+        monkeypatch.setenv("COLUMNS", columns)
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, *capsys.readouterr()))
+    return results
+
+
+def test_reused_parser_prints_what_a_fresh_parser_prints(monkeypatch, capsys):
+    reused = _run_corpus(monkeypatch, capsys)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert _run_corpus(monkeypatch, capsys) == reused
+    assert [code for code, _, _ in reused] == [
+        0, 0, 0, 0, 2, 2, 2, 0, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 2
+    ]
+    # help is wrapped to COLUMNS as it stands at each call
+    assert reused[2][1] != reused[7][1]
+    assert reused[1][1] != reused[15][1]
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    assert main(["table2", "--machines", "2"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["table2", "--machines", "2"]) == 0
+    assert built == []
+    assert cli.build_parser() is not cli.build_parser()
+    assert len(built) == 10  # a top-level parser and four subcommand parsers, twice
+
+
+def test_table2_defaults_are_shared_by_no_call(capsys):
+    assert main(["table2"]) == 0
+    first = capsys.readouterr()
+    assert main(["table2", "--machines", "3"]) == 0
+    assert capsys.readouterr().out == "m,class1_ratio,class2_ratio\n3,1.3333,1.2222\n"
+    assert main(["table2"]) == 0
+    assert capsys.readouterr() == first
+    assert cli._parser().parse_args(["table2"]).machines == cli.DEFAULT_MACHINES
+
+
 def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     def exhausted(path):
         raise MemoryError
@@ -438,6 +517,20 @@ def test_failed_output_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, 
     assert "disk full" in capsys.readouterr().err
     assert target.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_output_to_a_directory_names_the_directory(tmp_path, capsys):
+    target = tmp_path / "reports"
+    target.mkdir()
+    argv = ["run", "--family", "class1", "--m", "3", "--output", str(target)]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 2
+        runs.append(capsys.readouterr())
+    message = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(target)!r}\n"
+    assert runs == [("", message)] * 2
+    assert [p.name for p in tmp_path.iterdir()] == ["reports"]
+    assert list(target.iterdir()) == []
 
 
 def test_relative_output_resolves_against_env_dir(tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
 """Exact arithmetic, domain types, and the instance file format."""
 from __future__ import annotations
 
+import errno
 import operator
+import os
 import random
 import sys
 from decimal import Decimal, getcontext
@@ -507,3 +509,16 @@ def test_failed_save_instance_leaves_old_file_and_no_temp(tmp_path, monkeypatch)
         save_instance(Instance.from_sizes([3], 2), path)
     assert path.read_text() == "m=2\n1\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_save_instance_names_the_destination_not_the_temp_file(tmp_path):
+    # mkstemp fails here: the parent "directory" is a file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = blocker / "inst.txt"
+    with pytest.raises(NotADirectoryError) as raised:
+        save_instance(Instance.from_sizes([3], 2), path)
+    code = errno.ENOTDIR
+    assert str(raised.value) == f"[Errno {code}] {os.strerror(code)}: {str(path)!r}"
+    assert raised.value.filename == str(path)
+    assert raised.value.filename2 is None
