@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -106,9 +105,7 @@ def _worst_order(args: argparse.Namespace, instance: Instance) -> WorstOrderResu
 
 
 def _report_text(report: RatioReport) -> str:
-    satisfied = "n/a (optimum not exact)"
-    if report.bound_satisfied is not None:
-        satisfied = "yes" if report.bound_satisfied else "NO"
+    satisfied = {None: "n/a (optimum not exact)", True: "yes", False: "NO"}
     lines = [
         f"family: {report.label}",
         f"machines: {report.m}",
@@ -118,7 +115,7 @@ def _report_text(report: RatioReport) -> str:
         f"({report.opt.kind}, {report.opt.nodes_explored} nodes)",
         f"ratio: {report.ratio_exact} = {report.ratio_4dp}",
         f"bound 2-1/m: {report.bound_2_minus_1_over_m}",
-        f"bound satisfied: {satisfied}",
+        f"bound satisfied: {satisfied[report.bound_satisfied]}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -151,7 +148,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    rows = [asdict(row) for row in table2(args.machines)]
+    rows = [row._asdict() for row in table2(args.machines)]
     if args.format == "json":
         _emit(json.dumps(rows, indent=2) + "\n", args.output)
     else:

@@ -9,14 +9,14 @@ worst case needs the machines evenly loaded before the big job lands).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .model import (
     ArrivalOrder,
     Instance,
     Time,
+    _require_int,
     _write_atomic,
     format_instance,
     format_time,
@@ -44,15 +44,18 @@ FAMILY_TAGS = (
 )
 
 
-@dataclass(frozen=True)
-class GeneratedFamily:
-    """An instance bundled with its adversarial order and predicted values."""
+class GeneratedFamily(NamedTuple):
+    """An instance bundled with its predicted values; its listed order is
+    the adversarial one."""
 
     instance: Instance
-    worst_order: ArrivalOrder
     family_tag: str
     predicted_lsa: Time
     predicted_opt: Time
+
+    @property
+    def worst_order(self) -> ArrivalOrder:
+        return ArrivalOrder.as_listed(self.instance)
 
 
 # A family scored by competitive_ratio peaks at about 180 bytes a job, so
@@ -72,8 +75,7 @@ def _listed(runs: list, m: int, tag: str, lsa: Time, opt: Time) -> GeneratedFami
     sizes: list = []
     for count, size in runs:
         sizes += [size] * count
-    instance = Instance.from_sizes(sizes, m)
-    return GeneratedFamily(instance, ArrivalOrder.as_listed(instance), tag, lsa, opt)
+    return GeneratedFamily(Instance.from_sizes(sizes, m), tag, lsa, opt)
 
 
 def gen_class1(m: int) -> GeneratedFamily:
@@ -83,6 +85,7 @@ def gen_class1(m: int) -> GeneratedFamily:
     m-2, then the big job lands on a least-loaded machine: makespan 2m-2.
     The optimum parks the big job alone and balances the units: m.
     """
+    _require_int(m)  # before any size or prediction is computed from m
     runs = [((m - 1) * (m - 1), 1), (1, m)]
     return _listed(runs, m, "class1", Time(2 * m - 2), Time(m))
 
@@ -93,6 +96,7 @@ def gen_class2(m: int) -> GeneratedFamily:
     Greedy balances the units to m-1 per machine before the big job:
     makespan m-1+m^2. The optimum is m^2 (big job alone, units at m each).
     """
+    _require_int(m)
     runs = [(m * (m - 1), 1), (1, m * m)]
     return _listed(runs, m, "class2", Time(m - 1 + m * m), Time(m * m))
 
@@ -103,6 +107,7 @@ def gen_graham_tight(m: int) -> GeneratedFamily:
     Greedy loads every machine to m-1, then adds m: makespan 2m-1 against
     an optimum of m, meeting the general greedy guarantee with equality.
     """
+    _require_int(m)
     runs = [(m * (m - 1), 1), (1, m)]
     return _listed(runs, m, "graham_tight", Time(2 * m - 1), Time(m))
 
@@ -115,6 +120,7 @@ def gen_faigle(m: int) -> GeneratedFamily:
     ends at 4+3*sqrt(2) versus an optimum of 2+2*sqrt(2), ratio about
     1.7071 independent of m. The listed order is the adversarial one.
     """
+    _require_int(m)
     if m == 2:
         return _listed([(2, 1), (1, 2)], 2, "faigle_m2", Time(3), Time(2))
     if m == 3:

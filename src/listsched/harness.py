@@ -12,10 +12,10 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .families import gen_class1, gen_class2
 from .model import (
@@ -75,23 +75,44 @@ def greedy_bound(m: int) -> Fraction:
     return Fraction(2 * m - 1, m)
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    """One measured run: makespan, optimum, exact ratio, bound check.
+class RatioReport(NamedTuple):
+    """One measured run: the instance and order run, the policy's makespan,
+    the optimum and their exact ratio. The rest is derived when read.
 
     When the oracle could only certify a lower bound, ratio is an upper
-    estimate of the true ratio and bound_satisfied is left as None.
+    estimate of the true ratio and bound_satisfied is None.
     """
 
-    label: str
-    m: int
+    instance: Instance
+    order: ArrivalOrder
+    family_tag: Optional[str]
     policy: str
     alg_makespan: Time
     opt: OptResult
     ratio: Time
-    ratio_4dp: str
-    bound_2_minus_1_over_m: str
-    bound_satisfied: Optional[bool]
+
+    @property
+    def label(self) -> str:
+        """The family tag, or else the instance's content hash."""
+        if self.family_tag is not None:
+            return self.family_tag
+        return instance_digest(self.instance)
+
+    @property
+    def m(self) -> int:
+        return self.instance.machines
+
+    @property
+    def ratio_4dp(self) -> str:
+        return self.ratio.decimal(4)
+
+    @property
+    def bound_2_minus_1_over_m(self) -> str:
+        return Time(greedy_bound(self.m)).decimal(4)
+
+    @property
+    def bound_satisfied(self) -> Optional[bool]:
+        return self.ratio <= greedy_bound(self.m) if self.opt.is_exact else None
 
     @property
     def ratio_exact(self) -> str:
@@ -138,26 +159,10 @@ def competitive_ratio(
             f"ratio {ratio} below 1 against an exact optimum; "
             f"instance {instance_digest(instance)} is mis-solved"
         )
-    bound = greedy_bound(instance.machines)
-    satisfied: Optional[bool] = None
-    if opt.is_exact:
-        satisfied = ratio <= bound
-    label = family_tag if family_tag is not None else instance_digest(instance)
-    return RatioReport(
-        label=label,
-        m=instance.machines,
-        policy=policy.name,
-        alg_makespan=alg_makespan,
-        opt=opt,
-        ratio=ratio,
-        ratio_4dp=ratio.decimal(4),
-        bound_2_minus_1_over_m=Time(bound).decimal(4),
-        bound_satisfied=satisfied,
-    )
+    return RatioReport(instance, order, family_tag, policy.name, alg_makespan, opt, ratio)
 
 
-@dataclass(frozen=True)
-class WorstOrderResult:
+class WorstOrderResult(NamedTuple):
     """Outcome of searching arrival orders for the worst makespan."""
 
     best_order: ArrivalOrder
@@ -238,8 +243,7 @@ def worst_order_search(
     )
 
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(NamedTuple):
     m: int
     class1_ratio: str
     class2_ratio: str
@@ -254,7 +258,7 @@ def table2(machine_counts: Sequence[int]) -> list[Table2Row]:
     rows = []
     for m in machine_counts:
         class1, class2 = (
-            competitive_ratio(f.instance, f.worst_order, family_tag=f.family_tag)
+            competitive_ratio(f.instance, family_tag=f.family_tag)
             for f in (gen_class1(m), gen_class2(m))
         )
         rows.append(Table2Row(m, class1.ratio_4dp, class2.ratio_4dp))
@@ -262,22 +266,19 @@ def table2(machine_counts: Sequence[int]) -> list[Table2Row]:
 
 
 class BoundViolation(AssertionError):
-    """The greedy guarantee failed; carries the full counterexample."""
+    """The greedy guarantee failed; the report carries the counterexample."""
 
-    def __init__(self, report: RatioReport, instance: Instance, order: ArrivalOrder):
-        self.report = report
-        self.instance = instance
-        self.order = order
+    def __init__(self, report: RatioReport):
+        self.report, self.instance, self.order = report, report.instance, report.order
         super().__init__(
             f"ratio {report.ratio} = {report.ratio_4dp} exceeds bound "
             f"{report.bound_2_minus_1_over_m} on m={report.m}\n"
-            f"order: {order.permutation}\n"
-            f"instance:\n{format_instance(instance)}"
+            f"order: {report.order.permutation}\n"
+            f"instance:\n{format_instance(report.instance)}"
         )
 
 
-@dataclass(frozen=True)
-class BoundCheckSummary:
+class BoundCheckSummary(NamedTuple):
     """Result of a randomized check of the greedy guarantee.
 
     undecided counts the trials whose optimum was only a lower bound, so
@@ -286,11 +287,12 @@ class BoundCheckSummary:
     """
 
     trials: int
-    violations: int
     undecided: int
-    witness_instance: Instance
-    witness_order: ArrivalOrder
     witness_report: RatioReport
+
+    violations = 0  # a violation raises BoundViolation instead
+    witness_instance = property(attrgetter("witness_report.instance"))
+    witness_order = property(attrgetter("witness_report.order"))
 
 
 def verify_bound(
@@ -320,7 +322,7 @@ def verify_bound(
         raise ValueError("size_range must be integers with 1 <= lo <= hi")
     rng = random.Random(seed)
     # the largest ratio over decided trials, and over undecided ones
-    best: dict[bool, tuple[RatioReport, Instance, ArrivalOrder]] = {}
+    best: dict[bool, RatioReport] = {}
     undecided = 0
     for _ in range(trials):
         n = rng.randint(1, max_n)
@@ -331,27 +333,18 @@ def verify_bound(
         rng.shuffle(ids)
         order = ArrivalOrder(tuple(ids))
         report = competitive_ratio(instance, order, policy)
-        if report.bound_satisfied is False:
-            raise BoundViolation(report, instance, order)
-        decided = report.bound_satisfied is not None
+        satisfied = report.bound_satisfied
+        if satisfied is False:
+            raise BoundViolation(report)
+        decided = satisfied is not None
         undecided += not decided
-        if decided not in best or best[decided][0].ratio < report.ratio:
-            best[decided] = (report, instance, order)
-    report, instance, order = best.get(True) or best[False]
-    return BoundCheckSummary(
-        trials=trials,
-        violations=0,
-        undecided=undecided,
-        witness_instance=instance,
-        witness_order=order,
-        witness_report=report,
-    )
+        if decided not in best or best[decided].ratio < report.ratio:
+            best[decided] = report
+    return BoundCheckSummary(trials, undecided, best.get(True) or best[False])
 
 
 def _report_row(report: RatioReport) -> list[str]:
-    satisfied = ""
-    if report.bound_satisfied is not None:
-        satisfied = "true" if report.bound_satisfied else "false"
+    satisfied = {None: "", True: "true", False: "false"}[report.bound_satisfied]
     return [
         str(report.m),
         report.label,
@@ -380,8 +373,7 @@ def export_report(
     elif format == "json":
         payload = []
         for report in reports:
-            row = _report_row(report)
-            entry = dict(zip(REPORT_COLUMNS, row))
+            entry = dict(zip(REPORT_COLUMNS, _report_row(report)))
             entry["satisfied"] = report.bound_satisfied
             entry["m"] = report.m
             entry["opt_kind"] = report.opt.kind

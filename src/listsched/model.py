@@ -369,6 +369,13 @@ _numerator, _sqrt2_coeff, _denominator = map(attrgetter, ("_a", "_b", "_d"))
 _EXACT = (Time, int, Fraction, str)
 
 
+def _require_int(machines: object) -> None:
+    # 2.0 or Fraction(3) would pass the range checks, then fail in list
+    # arithmetic naming neither; a bool is an int and fails those checks
+    if not isinstance(machines, int):
+        raise TypeError(f"machine count must be an int, not {machines!r}")
+
+
 @dataclass(frozen=True, init=False)
 class Instance:
     """A job list (in listed order) together with the machine count.
@@ -395,6 +402,7 @@ class Instance:
         self.__dict__["jobs"] = jobs
 
     def _fill(self, ids: tuple, sizes: tuple, machines: int) -> None:
+        _require_int(machines)
         if machines < 2:
             raise ValueError("an instance needs at least two machines")
         if machines > sys.maxsize:
@@ -490,8 +498,7 @@ class ArrivalOrder:
         return len(self.permutation)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """A complete assignment of jobs to machines with the induced loads.
 
     Machines are numbered 1..m and keep their identity; loads[k] is the

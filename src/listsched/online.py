@@ -9,10 +9,9 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from heapq import heapify, heapreplace
 from itertools import groupby
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import ArrivalOrder, Instance, Job, Schedule, Time, format_time
 
@@ -154,8 +153,7 @@ class Lsa(OnlinePolicy):
         return steps[0][1]
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One placement: the job, the machine chosen, loads before and after."""
 
     job_id: int

@@ -8,7 +8,7 @@ the structured families also have closed-form optima (opt_structured).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ArrivalOrder, Instance, Schedule, Time, total_load
 from .online import greedy, run_online
@@ -32,8 +32,7 @@ OPT_LOWER_BOUND_ONLY = "lower-bound-only"
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     """Optimal makespan (or best known bound) with its provenance.
 
     kind is one of: 'exact' (search completed), 'certified-by-bound' (a

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -168,3 +169,18 @@ def test_failed_save_family_leaves_old_files_and_no_temp(tmp_path, monkeypatch):
     assert sidecar_path.read_bytes() == sidecar
     assert load_instance(instance_path) == fam.instance
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("machines", [2.0, 2.5, Fraction(3), "3"])
+def test_generators_refuse_a_non_int_machine_count_first(machines, monkeypatch):
+    # no size or prediction is built: Time would fail with another message
+    monkeypatch.setattr(families, "Time", None)
+    message = f"machine count must be an int, not {machines!r}"
+    for gen in (gen_class1, gen_class2, gen_graham_tight, gen_faigle):
+        with pytest.raises(TypeError) as raised:
+            gen(machines)
+        assert str(raised.value) == message
+    for name in ("class1", "class2", "graham_tight", "faigle"):
+        with pytest.raises(TypeError) as raised:
+            generate(name, machines)
+        assert str(raised.value) == message

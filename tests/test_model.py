@@ -522,3 +522,20 @@ def test_failed_save_instance_names_the_destination_not_the_temp_file(tmp_path):
     assert str(raised.value) == f"[Errno {code}] {os.strerror(code)}: {str(path)!r}"
     assert raised.value.filename == str(path)
     assert raised.value.filename2 is None
+
+
+@pytest.mark.parametrize("machines", [2.0, 2.5, Fraction(3), "3"])
+def test_machine_count_must_be_an_int(machines):
+    message = f"machine count must be an int, not {machines!r}"
+    with pytest.raises(TypeError) as raised:
+        Instance.from_sizes([1, 2, 3], machines)
+    assert str(raised.value) == message
+    with pytest.raises(TypeError) as raised:
+        Instance([Job(1, 1), Job(2, 2)], machines)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("machines", [True, False])
+def test_bool_machine_count_is_below_two(machines):
+    with pytest.raises(ValueError, match="at least two machines"):
+        Instance.from_sizes([1, 2, 3], machines)
