@@ -63,10 +63,15 @@ class GeneratedFamily(NamedTuple):
 _MAX_JOBS = 10_000_000
 
 
-def _listed(runs: list, m: int, tag: str, lsa: Time, opt: Time) -> GeneratedFamily:
-    """The family listing its (count, size) runs; counted before it is built."""
+def _require_machines(m: int) -> None:
+    """Refuse m before any size or prediction is computed from it."""
+    _require_int(m)
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
+
+
+def _listed(runs: list, m: int, tag: str, lsa: Time, opt: Time) -> GeneratedFamily:
+    """The family listing its (count, size) runs; counted before it is built."""
     jobs = sum(count for count, _ in runs)
     if jobs > _MAX_JOBS:
         raise ValueError(
@@ -85,7 +90,7 @@ def gen_class1(m: int) -> GeneratedFamily:
     m-2, then the big job lands on a least-loaded machine: makespan 2m-2.
     The optimum parks the big job alone and balances the units: m.
     """
-    _require_int(m)  # before any size or prediction is computed from m
+    _require_machines(m)
     runs = [((m - 1) * (m - 1), 1), (1, m)]
     return _listed(runs, m, "class1", Time(2 * m - 2), Time(m))
 
@@ -96,7 +101,7 @@ def gen_class2(m: int) -> GeneratedFamily:
     Greedy balances the units to m-1 per machine before the big job:
     makespan m-1+m^2. The optimum is m^2 (big job alone, units at m each).
     """
-    _require_int(m)
+    _require_machines(m)
     runs = [(m * (m - 1), 1), (1, m * m)]
     return _listed(runs, m, "class2", Time(m - 1 + m * m), Time(m * m))
 
@@ -107,7 +112,7 @@ def gen_graham_tight(m: int) -> GeneratedFamily:
     Greedy loads every machine to m-1, then adds m: makespan 2m-1 against
     an optimum of m, meeting the general greedy guarantee with equality.
     """
-    _require_int(m)
+    _require_machines(m)
     runs = [(m * (m - 1), 1), (1, m)]
     return _listed(runs, m, "graham_tight", Time(2 * m - 1), Time(m))
 
@@ -120,7 +125,7 @@ def gen_faigle(m: int) -> GeneratedFamily:
     ends at 4+3*sqrt(2) versus an optimum of 2+2*sqrt(2), ratio about
     1.7071 independent of m. The listed order is the adversarial one.
     """
-    _require_int(m)
+    _require_machines(m)
     if m == 2:
         return _listed([(2, 1), (1, 2)], 2, "faigle_m2", Time(3), Time(2))
     if m == 3:

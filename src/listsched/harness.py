@@ -277,6 +277,10 @@ class BoundViolation(AssertionError):
             f"instance:\n{format_instance(report.instance)}"
         )
 
+    def __reduce__(self) -> tuple:
+        # BaseException rebuilds from args, which hold only the message
+        return type(self), (self.report,)
+
 
 class BoundCheckSummary(NamedTuple):
     """Result of a randomized check of the greedy guarantee.

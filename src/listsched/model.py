@@ -11,7 +11,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, total_ordering
@@ -332,18 +331,69 @@ def parse_time(text: str) -> Time:
 SQRT2 = Time(0, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Job:
+def _restore(cls: type, values: tuple) -> "_Frozen":
+    """Rebuild a pickled or copied _Frozen from its field values."""
+    self = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(self, name, value)
+    return self
+
+
+class _Frozen:
+    """Value semantics for the model's validated types, as a frozen dataclass
+    gives them, without importing dataclasses at start-up.
+
+    A subclass names its fields in __match_args__ and its constructor sets
+    them with object.__setattr__ (or in __dict__). Instances compare equal
+    only to instances of the same class with equal fields, hash as the
+    tuple of their fields and repr as Name(field=...); no attribute can be
+    set or deleted. Pickling and copying rebuild from the field values
+    through _restore: the default path would set slots through the refused
+    __setattr__, and derived state in __dict__ need not be copied.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _restore, (type(self), self._values())
+
+
+class Job(_Frozen):
     """A job with an immutable identity and a strictly positive size."""
 
+    __slots__ = __match_args__ = ("id", "size")
     id: int
     size: Time
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, Time):
-            object.__setattr__(self, "size", as_time(self.size))
-        if not self.size:
-            raise ValueError(f"job {self.id} must have positive size")
+    def __init__(self, id: int, size: TimeLike):
+        if not isinstance(size, Time):
+            size = as_time(size)
+        if not size:
+            raise ValueError(f"job {id} must have positive size")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "size", size)
 
 
 class Lanes(NamedTuple):
@@ -376,8 +426,7 @@ def _require_int(machines: object) -> None:
         raise TypeError(f"machine count must be an int, not {machines!r}")
 
 
-@dataclass(frozen=True, init=False)
-class Instance:
+class Instance(_Frozen):
     """A job list (in listed order) together with the machine count.
 
     The jobs are held as two columns, job_ids and sizes (each a Time), so
@@ -386,6 +435,7 @@ class Instance:
     them. Instance(jobs, machines) takes Job objects, and keeps them.
     """
 
+    __match_args__ = ("job_ids", "sizes", "machines")
     job_ids: tuple[int, ...]
     sizes: tuple[Time, ...]
     machines: int
@@ -475,14 +525,14 @@ class Instance:
         return iter(self.jobs)
 
 
-@dataclass(frozen=True)
-class ArrivalOrder:
+class ArrivalOrder(_Frozen):
     """A permutation of an instance's job ids, giving the arrival sequence."""
 
+    __slots__ = __match_args__ = ("permutation",)
     permutation: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "permutation", tuple(self.permutation))
+    def __init__(self, permutation: Iterable[int]):
+        object.__setattr__(self, "permutation", tuple(permutation))
 
     @classmethod
     def as_listed(cls, instance: Instance) -> "ArrivalOrder":

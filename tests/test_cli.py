@@ -563,3 +563,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "2,1.0000,1.2500" in proc.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays for what `import listsched.cli` loads: dataclasses
+    # alone pulls in inspect, ast, dis and tokenize; -S keeps site from
+    # loading either first
+    code = (
+        "import sys; before = set(sys.modules); import listsched.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=Path(listsched.__file__).parents[1],
+    )
+    loaded = set(proc.stdout.split())
+    assert "listsched.model" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

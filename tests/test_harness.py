@@ -108,13 +108,13 @@ def test_ratio_report_more_examples():
 def test_scoring_a_family_builds_no_job(monkeypatch):
     family = gen_class2(30)
     built = []
-    post_init = Job.__post_init__
+    init = Job.__init__
 
-    def counted(job):
-        built.append(job.id)
-        post_init(job)
+    def counted(job, id, size):
+        built.append(id)
+        init(job, id, size)
 
-    monkeypatch.setattr(Job, "__post_init__", counted)
+    monkeypatch.setattr(Job, "__init__", counted)
     report = competitive_ratio(
         family.instance, family.worst_order, family_tag=family.family_tag
     )

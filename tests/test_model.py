@@ -1,11 +1,14 @@
 """Exact arithmetic, domain types, and the instance file format."""
 from __future__ import annotations
 
+import copy
 import errno
 import operator
 import os
+import pickle
 import random
 import sys
+from collections import namedtuple
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -281,6 +284,90 @@ def test_instance_ids_in_any_order_and_their_duplicates():
     assert ArrivalOrder((1, 2, 5, 9)).covers(inst)
     with pytest.raises(ValueError, match="duplicate job id 2"):
         Instance(tuple(jobs) + (Job(2, Time(3)), Job(5, Time(1))), 2)
+
+
+def _model_values() -> list:
+    """Each validated model type: a value built by position, its twin built
+    by keyword, its field values and its repr."""
+    jobs = (Job(1, 2), Job(2, "1/2"), Job(3, "1 + 1 r2"))
+    return [
+        (Job(3, "1/2"), Job(id=3, size=Fraction(1, 2)), (3, Time(Fraction(1, 2))),
+         "Job(id=3, size=Time('1/2'))"),
+        (Instance.from_sizes([2, "1/2", "1 + 1 r2"], 2), Instance(jobs=jobs, machines=2),
+         ((1, 2, 3), (Time(2), Time(Fraction(1, 2)), Time(1, 1)), 2),
+         "Instance(job_ids=(1, 2, 3), sizes=(Time('2'), Time('1/2'), Time('1+1r2')), "
+         "machines=2)"),
+        (ArrivalOrder([3, 1, 2]), ArrivalOrder(permutation=iter((3, 1, 2))), ((3, 1, 2),),
+         "ArrivalOrder(permutation=(3, 1, 2))"),
+    ]
+
+
+MODEL_TYPES = (Job, Instance, ArrivalOrder)
+
+
+def _fields_of(value) -> tuple:
+    """The field values, read by positional pattern as for a dataclass."""
+    match value:
+        case Job(job_id, size):
+            return job_id, size
+        case Instance(job_ids, sizes, machines):
+            return job_ids, sizes, machines
+        case ArrivalOrder(permutation):
+            return (permutation,)
+
+
+@pytest.mark.parametrize("index", range(len(MODEL_TYPES)))
+def test_model_type_equality_hash_and_repr(index):
+    value, twin, fields, text = _model_values()[index]
+    kind = MODEL_TYPES[index]
+    assert type(value) is type(twin) is kind
+    assert value == twin and twin is not value and not value != twin
+    assert hash(value) == hash(twin) == hash(fields)
+    assert repr(value) == repr(twin) == text
+    # a plain tuple or another record type with the same fields is not equal
+    look_alike = namedtuple(kind.__name__, kind.__match_args__)(*fields)
+    others = [v for v, *_ in _model_values() if type(v) is not kind]
+    for other in (fields, look_alike, *others):
+        assert value.__eq__(other) is NotImplemented
+        assert value != other and other != value
+    assert _fields_of(value) == fields
+
+
+def test_model_types_differ_by_any_field():
+    assert Job(1, 2) != Job(2, 2) and Job(1, 2) != Job(1, 3)
+    assert Instance.from_sizes([1, 2], 2) != Instance.from_sizes([2, 1], 2)
+    assert Instance.from_sizes([1, 2], 2) != Instance.from_sizes([1, 2], 3)
+    assert Instance((Job(2, 1), Job(1, 2)), 2) != Instance.from_sizes([1, 2], 2)
+    assert ArrivalOrder((1, 2)) != ArrivalOrder((2, 1))
+
+
+@pytest.mark.parametrize("index", range(len(MODEL_TYPES)))
+def test_model_type_attributes_cannot_be_set_or_deleted(index):
+    value, _, fields, text = _model_values()[index]
+    for name in (*type(value).__match_args__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert _fields_of(value) == fields and repr(value) == text
+
+
+@pytest.mark.parametrize("index", range(len(MODEL_TYPES)))
+def test_model_type_pickle_and_copy_round_trips(index):
+    value, _, fields, text = _model_values()[index]
+    if isinstance(value, Instance):  # derived state cached before the copy
+        lanes, jobs = value.lanes, value.jobs
+    for back in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(back) is type(value) and back is not value
+        assert back == value and hash(back) == hash(fields)
+        assert repr(back) == text
+        if isinstance(value, Instance):
+            assert back.lanes == lanes and back.jobs == jobs
+            assert back.job(3) == value.job(3)
 
 
 def test_from_sizes_checks_each_distinct_size_once():

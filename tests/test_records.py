@@ -1,6 +1,7 @@
 """Result records: each stores what its run measured and derives the rest."""
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -58,17 +59,31 @@ def test_summary_witness_is_read_from_its_report():
     assert summary._fields == ("trials", "undecided", "witness_report")
 
 
-def test_bound_violation_reads_its_counterexample_from_the_report():
-    class StackFirst(Lsa):
-        def choose(self, loads, job=None):
-            return 1
+class _StackFirst(Lsa):
+    def choose(self, loads, job=None):
+        return 1
 
+
+def _violation() -> BoundViolation:
     with pytest.raises(BoundViolation) as excinfo:
-        verify_bound(20, max_n=6, max_m=3, seed=0, policy=StackFirst())
-    exc = excinfo.value
+        verify_bound(20, max_n=6, max_m=3, seed=0, policy=_StackFirst())
+    return excinfo.value
+
+
+def test_bound_violation_reads_its_counterexample_from_the_report():
+    exc = _violation()
     assert exc.instance is exc.report.instance
     assert exc.order is exc.report.order
     assert exc.order.covers(exc.instance)
+
+
+def test_bound_violation_survives_pickling():
+    exc = _violation()
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is BoundViolation
+    assert back.report == exc.report
+    assert back.instance == exc.instance and back.order == exc.order
+    assert str(back) == str(exc)
 
 
 @st.composite
