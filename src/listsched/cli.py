@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .families import GeneratedFamily, generate
+from .families import _GENERATORS, GeneratedFamily, generate
 from .harness import (
     BoundViolation,
     RatioReport,
@@ -31,16 +31,17 @@ from .harness import (
     verify_bound,
     worst_order_search,
 )
-from .model import Instance, _write_atomic, format_time, load_instance
+from .model import Instance, _parse_int, _write_atomic, format_time, load_instance
 from .online import Lsa
 
 OUTPUT_DIR_VAR = "LISTSCHED_OUTPUT_DIR"
 DEFAULT_MACHINES = (2, 3, 4, 5, 10, 50, 100)
+TIE_BREAKS = {"lsa": "low", "lsa-high": "high"}
 
 
 def _int(text: str) -> int:
     try:
-        return int(text)
+        return _parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
@@ -67,7 +68,7 @@ def _positive(text: str) -> int:
 
 
 def _policy(name: str) -> Lsa:
-    return Lsa("high" if name == "lsa-high" else "low")
+    return Lsa(TIE_BREAKS[name])
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -199,7 +200,7 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     source.add_argument("--instance", metavar="PATH", help="instance file to load")
     source.add_argument(
         "--family",
-        choices=("class1", "class2", "graham_tight", "faigle"),
+        choices=tuple(_GENERATORS),
         help="generate a structured family instead of loading a file",
     )
     sub.add_argument("--m", type=_machine_count, help="machine count for --family")
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="given = family's adversarial order or the file's listed order",
     )
     run.add_argument(
-        "--policy", choices=("lsa", "lsa-high"), default="lsa",
+        "--policy", choices=tuple(TIE_BREAKS), default="lsa",
         help="greedy tie-break variant",
     )
     run.add_argument(
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search budget for the exact optimum",
     )
     run.add_argument(
-        "--seed", type=int, help="RNG seed when --order worst (default 0)"
+        "--seed", type=_int, help="RNG seed when --order worst (default 0)"
     )
     _add_output(run)
     run.set_defaults(handler=cmd_run)
@@ -265,17 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-m", type=_machine_count, default=4)
     verify.add_argument("--size-min", type=_positive, default=1)
     verify.add_argument("--size-max", type=_positive, default=9)
-    verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    verify.add_argument("--seed", type=_int, default=0, help="RNG seed (default 0)")
     _add_output(verify)
     verify.set_defaults(handler=cmd_verify)
 
     worst = sub.add_parser("worst-order", help="search for the worst arrival order")
     _add_instance_args(worst)
-    worst.add_argument(
-        "--policy", choices=("lsa", "lsa-high"), default="lsa"
-    )
+    worst.add_argument("--policy", choices=tuple(TIE_BREAKS), default="lsa")
     worst.add_argument("--cap", type=_positive)
-    worst.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    worst.add_argument("--seed", type=_int, help="RNG seed (default 0)")
     _add_output(worst)
     worst.set_defaults(handler=cmd_worst_order)
 

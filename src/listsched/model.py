@@ -309,7 +309,17 @@ def format_time(t: Time, compact: bool = False) -> str:
     return _render(t._a, t._b, t._d, compact)
 
 
-_TIME_RE = re.compile(r"(-?\d+(?:/\d+)?)(?:\s*([+-])\s*(\d+(?:/\d+)?)\s*r2)?")
+# the one integer form of text read or written: an optional '-', ASCII digits
+_DIGITS = "[0-9]+"
+_INT_RE = re.compile(f"-?{_DIGITS}")
+_RAT = f"{_DIGITS}(?:/{_DIGITS})?"
+_TIME_RE = re.compile(rf"(-?{_RAT})(?:\s*([+-])\s*({_RAT})\s*r2)?", re.ASCII)
+
+
+def _parse_int(text: str) -> int:
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_time(text: str) -> Time:
@@ -355,16 +365,22 @@ class _Frozen:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
+    def __init_subclass__(cls) -> None:
+        # each subclass reads its field tuple with one C-level getter
+        super().__init_subclass__()
+        values = attrgetter(*cls.__match_args__)
+        if len(cls.__match_args__) == 1:
+            # attrgetter of one name gives the bare value, not a 1-tuple
+            values = lambda self, field=values: (field(self),)  # noqa: E731
+        cls._values = staticmethod(values)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == self._values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -377,7 +393,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return _restore, (type(self), self._values())
+        return _restore, (type(self), self._values(self))
 
 
 class Job(_Frozen):
@@ -629,7 +645,7 @@ def parse_instance(text: str) -> Instance:
     if not header.startswith("m="):
         raise InstanceParseError(machines_line, "expected machine count 'm=<int>'")
     try:
-        machines = int(header[2:])
+        machines = _parse_int(header[2:])
     except ValueError:
         raise InstanceParseError(
             machines_line, f"bad machine count {header[2:]!r}"

@@ -274,6 +274,27 @@ def test_argparse_rejections():
         ("run --family class1 --m x", "run: error: argument --m: not an integer: 'x'"),
         ("table2 --machines ,", "table2: error: argument --machines: empty machine list"),
         ("verify --trials x", "verify: error: argument --trials: not an integer: 'x'"),
+        # an integer option takes the one form of the file grammar, an
+        # optional '-' and ASCII digits; int() would read each of these
+        ("run --family class1 --m 1_0", "run: error: argument --m: not an integer: '1_0'"),
+        (
+            "verify --trials \u0663",
+            "verify: error: argument --trials: not an integer: '\u0663'",
+        ),
+        ("verify --seed +7", "verify: error: argument --seed: not an integer: '+7'"),
+        ("verify --seed x", "verify: error: argument --seed: not an integer: 'x'"),
+        (
+            "run --family class1 --m 3 --order worst --seed x",
+            "run: error: argument --seed: not an integer: 'x'",
+        ),
+        (
+            "worst-order --family class1 --m 3 --seed 1_0",
+            "worst-order: error: argument --seed: not an integer: '1_0'",
+        ),
+        (
+            "table2 --machines 2,\u0663",
+            "table2: error: argument --machines: not an integer: '\u0663'",
+        ),
     ],
 )
 def test_bad_option_values_are_argparse_errors(argv, message, capsys):
@@ -283,6 +304,84 @@ def test_bad_option_values_are_argparse_errors(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"\nlistsched {message}\n")
+
+
+def test_integer_options_take_leading_zeros_and_a_minus(capsys):
+    assert main(["run", "--family", "class1", "--m", "3"]) == 0
+    plain = capsys.readouterr()
+    assert main(["run", "--family", "class1", "--m", "003"]) == 0
+    assert capsys.readouterr() == plain
+    assert main(["verify", "--trials", "5", "--seed", "-7"]) == 0
+    assert capsys.readouterr().out.startswith("trials: 5\n")
+
+
+@pytest.mark.parametrize("count", ["2_0", "+2", " 2", "\u0663"])
+def test_instance_file_machine_count_is_ascii_digits_only(count, tmp_path, capsys):
+    path = tmp_path / "jobs.txt"
+    path.write_text(f"m={count}\n1\n", encoding="utf-8")
+    assert main(["run", "--instance", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: line 1: bad machine count {count!r}\n")
+
+
+# the help pages as the parser with the choices written out printed them, at
+# COLUMNS=80; compared word for word, since the wrapping is argparse's own
+HELP_PAGES = {
+    "run": """\
+usage: listsched run [-h]
+                     (--instance PATH | --family {class1,class2,graham_tight,faigle})
+                     [--m M] [--order {given,worst,as-listed}]
+                     [--policy {lsa,lsa-high}] [--format {text,csv,json}]
+                     [--cap CAP] [--node-budget NODE_BUDGET] [--seed SEED]
+                     [--output PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --instance PATH       instance file to load
+  --family {class1,class2,graham_tight,faigle}
+                        generate a structured family instead of loading a file
+  --m M                 machine count for --family
+  --order {given,worst,as-listed}
+                        given = family's adversarial order or the file's
+                        listed order
+  --policy {lsa,lsa-high}
+                        greedy tie-break variant
+  --format {text,csv,json}
+  --cap CAP             order-search cap when --order worst (default 1000000)
+  --node-budget NODE_BUDGET
+                        search budget for the exact optimum
+  --seed SEED           RNG seed when --order worst (default 0)
+  --output PATH         write output to a file
+""",
+    "worst-order": """\
+usage: listsched worst-order [-h]
+                             (--instance PATH | --family {class1,class2,graham_tight,faigle})
+                             [--m M] [--policy {lsa,lsa-high}] [--cap CAP]
+                             [--seed SEED] [--output PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --instance PATH       instance file to load
+  --family {class1,class2,graham_tight,faigle}
+                        generate a structured family instead of loading a file
+  --m M                 machine count for --family
+  --policy {lsa,lsa-high}
+  --cap CAP
+  --seed SEED           RNG seed (default 0)
+  --output PATH         write output to a file
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_PAGES))
+def test_help_lists_the_family_and_policy_choices(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.split() == HELP_PAGES[command].split()
+    assert "--family {class1,class2,graham_tight,faigle}" in out
+    assert "--policy {lsa,lsa-high}" in out
 
 
 # (COLUMNS, argv): every subcommand, help, usage errors and repeats, with the

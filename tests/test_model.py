@@ -581,6 +581,49 @@ def test_instance_file_error_precedence(text, line_no, message):
     assert raised.value.line_no == line_no
 
 
+# An integer in the file grammar is an optional '-' and ASCII digits; none
+# of these spellings is one, though int() or Fraction() would read each.
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("m=2_0\n1\n", 1, "bad machine count '2_0'"),
+        ("m=+2\n1\n", 1, "bad machine count '+2'"),
+        ("m= 2\n1\n", 1, "bad machine count ' 2'"),
+        ("m=\u0663\n1\n", 1, "bad machine count '\u0663'"),
+        ("m=2\n\u0661\n", 2, "bad time literal: '\u0661'"),
+        ("m=2\n1 + 1/\u0662 r2\n", 2, "bad time literal: '1 + 1/\u0662 r2'"),
+    ],
+)
+def test_instance_file_integers_are_ascii_digits_only(text, line_no, message):
+    with pytest.raises(InstanceParseError) as raised:
+        parse_instance(text)
+    assert str(raised.value) == f"line {line_no}: {message}"
+
+
+# a size literal's digits and the spaces between its tokens are ASCII ones
+@pytest.mark.parametrize(
+    "build", [Time, parse_time, lambda s: Instance.from_sizes([s], 2)]
+)
+@pytest.mark.parametrize(
+    "literal", ["\u0663", "\u0661", "1_0", "+1", "1/\u0662", "1\u00a0+ 1 r2"]
+)
+def test_size_literals_are_ascii_only(build, literal):
+    with pytest.raises(ValueError) as raised:
+        build(literal)
+    assert str(raised.value) == f"bad time literal: {literal!r}"
+
+
+def test_instance_file_integer_forms_still_read():
+    assert parse_instance("m=03\n1\n").machines == 3
+    assert parse_instance("m=2\n-1 + 1 r2\n").sizes == (Time(-1, 1),)
+    limit = sys.get_int_max_str_digits()
+    # numerator and denominator of as many digits as int() reads, coprime
+    wide = f"{'7' * limit}/1{'0' * (limit - 1)}"
+    instance = parse_instance(f"m=2\n{wide}\n")
+    assert instance.sizes == (Time(Fraction(int("7" * limit), 10 ** (limit - 1))),)
+    assert format_instance(instance) == f"m=2\n{wide}\n"
+
+
 def test_save_and_load_instance(tmp_path):
     inst = Instance.from_sizes([1, Time(1, 1), 2], 2)
     path = tmp_path / "inst.txt"

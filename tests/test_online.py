@@ -9,7 +9,14 @@ import pytest
 
 from conftest import random_instance, random_order
 from listsched.families import gen_class1, gen_class2, gen_faigle, gen_graham_tight
-from listsched.model import ArrivalOrder, Instance, Time, parse_time, validate_schedule
+from listsched.model import (
+    ArrivalOrder,
+    Instance,
+    Lanes,
+    Time,
+    parse_time,
+    validate_schedule,
+)
 from listsched.online import (
     Lsa,
     OnlinePolicy,
@@ -150,6 +157,44 @@ def test_prefix_of_order_gives_prefix_of_trace():
         sub = Instance(tuple(inst.job(i) for i in prefix_ids), inst.machines)
         _, prefix_trace = run_online(sub, ArrivalOrder(prefix_ids))
         assert prefix_trace == full_trace[:cut]
+
+
+@pytest.mark.parametrize(
+    "instance, policy",
+    [
+        (gen_class1(4).instance, None),  # int lanes
+        (gen_faigle(3).instance, Lsa("high")),  # Time lanes
+        (Instance.from_sizes([3, "1/2", 2, "3/2", 1], 3), StackLast()),
+    ],
+)
+def test_trace_index_matches_the_replayed_list(instance, policy):
+    _, trace = run_online(instance, ArrivalOrder.as_listed(instance), policy)
+    steps = list(trace)
+    n = len(steps)
+    for i in range(-n - 2, n + 2):
+        if -n <= i < n:
+            assert trace[i] == steps[i]
+        else:
+            with pytest.raises(IndexError):
+                trace[i]
+    assert trace[1:-1] == steps[1:-1]
+    assert trace[::-2] == steps[::-2]
+
+
+def test_trace_index_decodes_only_its_own_step(monkeypatch):
+    decoded = []
+    time = Lanes.time
+    monkeypatch.setattr(
+        Lanes, "time", lambda lanes, load: decoded.append(load) or time(lanes, load)
+    )
+    fam = gen_class2(100)  # 9,901 jobs on 100 machines
+    schedule, trace = run_online(fam.instance, fam.worst_order)
+    decoded.clear()
+    first, last = trace[0], trace[-1]
+    # O(m) loads each, where replaying the whole trace decodes one per step
+    assert len(decoded) <= 2 * 100 < len(trace)
+    assert first.loads_before == (Time(0),) * 100
+    assert last.loads_after == schedule.loads
 
 
 def test_greedy_balance_invariant():

@@ -1,8 +1,8 @@
 """Property tests: the ordering, hashing and field laws of exact Time
-values, Instance.from_sizes against one Job per size, the greedy kernel,
-its bulk placement of long runs and its invariants under any arrival
-order, the coded order search, rank/unrank, and the exact oracle against
-the greedy bound."""
+values, Instance.from_sizes against one Job per size, instance files
+read back, the greedy kernel, its bulk placement of long runs and its
+invariants under any arrival order, the coded order search, rank/unrank,
+and the exact oracle against the greedy bound."""
 from __future__ import annotations
 
 import random
@@ -24,6 +24,7 @@ from listsched.model import (
     Time,
     format_instance,
     format_time,
+    parse_instance,
     parse_time,
     sqrt2_sign,
     total_load,
@@ -204,6 +205,27 @@ def test_from_sizes_matches_building_each_job(sizes, m):
         want.kind,
         want.nodes_explored,
     )
+
+
+# positive sizes: rational and sqrt(2) ones, some with a negative part on
+# either side of the sqrt(2) and some far past a machine word
+FILE_SIZES = st.one_of(
+    quantities().map(lambda parts: Time(*parts)).filter(bool),
+    st.integers(1, 60).map(lambda k: Time(-k, k)),
+    st.fractions(Fraction(1, 10**30), 10**40, max_denominator=10**30).map(Time),
+)
+
+
+@PROPERTY
+@given(st.lists(FILE_SIZES, min_size=1, max_size=8), st.integers(2, sys.maxsize))
+def test_instance_files_are_ascii_and_parse_back(sizes, m):
+    """format_instance writes every integer in the one form the parser
+    reads, an optional '-' and ASCII digits, so the text is ASCII and reads
+    back as an equal instance."""
+    instance = Instance.from_sizes(sizes, m)
+    text = format_instance(instance)
+    assert text.isascii()
+    assert parse_instance(text) == instance
 
 
 @st.composite
