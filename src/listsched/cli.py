@@ -32,6 +32,7 @@ from .harness import (
     worst_order_search,
 )
 from .model import Instance, _parse_int, _write_atomic, format_time, load_instance
+from .model import _SPACE
 from .online import Lsa
 
 OUTPUT_DIR_VAR = "LISTSCHED_OUTPUT_DIR"
@@ -41,7 +42,7 @@ TIE_BREAKS = {"lsa": "low", "lsa-high": "high"}
 
 def _int(text: str) -> int:
     try:
-        return _parse_int(text)
+        return _parse_int(text.strip(_SPACE))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
@@ -54,7 +55,7 @@ def _machine_count(text: str) -> int:
 
 
 def _machine_list(text: str) -> list[int]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
+    items = [part.strip(_SPACE) for part in text.split(",") if part.strip(_SPACE)]
     if not items:
         raise argparse.ArgumentTypeError("empty machine list")
     return [_machine_count(item) for item in items]

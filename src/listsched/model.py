@@ -309,9 +309,9 @@ def format_time(t: Time, compact: bool = False) -> str:
     return _render(t._a, t._b, t._d, compact)
 
 
-# the one integer form of text read or written: an optional '-', ASCII digits
+_SPACE = " \t\n\r\f\v"  # the only whitespace read: what \s means with re.ASCII
 _DIGITS = "[0-9]+"
-_INT_RE = re.compile(f"-?{_DIGITS}")
+_INT_RE = re.compile(f"-?{_DIGITS}")  # the one integer form read or written
 _RAT = f"{_DIGITS}(?:/{_DIGITS})?"
 _TIME_RE = re.compile(rf"(-?{_RAT})(?:\s*([+-])\s*({_RAT})\s*r2)?", re.ASCII)
 
@@ -324,7 +324,7 @@ def _parse_int(text: str) -> int:
 
 def parse_time(text: str) -> Time:
     """Parse '<rat>' or '<rat> +/- <rat> r2'; spaces only between tokens."""
-    s = text.strip()
+    s = text.strip(_SPACE)
     match = _TIME_RE.fullmatch(s)
     if not match:
         raise ValueError(f"bad time literal: {text!r}")
@@ -365,22 +365,16 @@ class _Frozen:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    def __init_subclass__(cls) -> None:
-        # each subclass reads its field tuple with one C-level getter
-        super().__init_subclass__()
-        values = attrgetter(*cls.__match_args__)
-        if len(cls.__match_args__) == 1:
-            # attrgetter of one name gives the bare value, not a 1-tuple
-            values = lambda self, field=values: (field(self),)  # noqa: E731
-        cls._values = staticmethod(values)
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values(self) == self._values(other)
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        return hash(self._values())
 
     def __repr__(self) -> str:
         fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -393,7 +387,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return _restore, (type(self), self._values(self))
+        return _restore, (type(self), self._values())
 
 
 class Job(_Frozen):
@@ -637,8 +631,8 @@ def format_instance(instance: Instance) -> str:
 def parse_instance(text: str) -> Instance:
     """Parse the serialized form; '#' starts a comment, blank lines skipped."""
     lines = text.splitlines()
-    stripped = ((no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(lines, 1))
-    content = [(line_no, line) for line_no, line in stripped if line]
+    bare = ((no, raw.split("#", 1)[0].strip(_SPACE)) for no, raw in enumerate(lines, 1))
+    content = [(line_no, line) for line_no, line in bare if line]
     if not content:
         raise InstanceParseError(len(lines) + 1, "missing machine count 'm=<int>'")
     (machines_line, header), *body = content

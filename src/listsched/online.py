@@ -10,7 +10,7 @@ import json
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator, Sequence
 from heapq import heapify, heapreplace
-from itertools import groupby, islice
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 from .model import ArrivalOrder, Instance, Job, Schedule, Time, format_time
@@ -185,19 +185,7 @@ class Trace(Sequence):
             before = after
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        job_id, machine, load = self._steps[index]
-        # replay the steps before this one on raw lane loads (None for a
-        # machine still empty), then decode only this step's two vectors
-        loads = [None] * self._machines
-        for _, k, value in islice(self._steps, index % len(self._steps)):
-            loads[k - 1] = value
-        zero, to_time = Time(0), self._to_time
-        before = tuple(zero if x is None else to_time(x) for x in loads)
-        after = list(before)
-        after[machine - 1] = to_time(load)
-        return TraceStep(job_id, machine, before, tuple(after))
+        return list(self)[index]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, (Trace, list)) and list(self) == list(other)

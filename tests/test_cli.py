@@ -295,24 +295,40 @@ def test_argparse_rejections():
             "table2 --machines 2,\u0663",
             "table2: error: argument --machines: not an integer: '\u0663'",
         ),
+        # the whitespace around a value is ASCII only, as in instance files
+        (
+            "run --family class1 --m \u00a03",
+            "run: error: argument --m: not an integer: '\\xa03'",
+        ),
+        (
+            "table2 --machines 2,\u00a03",
+            "table2: error: argument --machines: not an integer: '\\xa03'",
+        ),
     ],
 )
 def test_bad_option_values_are_argparse_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv.split())
+        main(argv.split(" "))  # split() would also split at the no-break spaces
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"\nlistsched {message}\n")
 
 
-def test_integer_options_take_leading_zeros_and_a_minus(capsys):
+def test_integer_options_take_leading_zeros_a_minus_and_ascii_padding(capsys):
     assert main(["run", "--family", "class1", "--m", "3"]) == 0
     plain = capsys.readouterr()
-    assert main(["run", "--family", "class1", "--m", "003"]) == 0
-    assert capsys.readouterr() == plain
+    for m in ("003", " 3", "3\t"):
+        assert main(["run", "--family", "class1", "--m", m]) == 0
+        assert capsys.readouterr() == plain
     assert main(["verify", "--trials", "5", "--seed", "-7"]) == 0
     assert capsys.readouterr().out.startswith("trials: 5\n")
+    assert main(["verify", "--trials", "5\n", "--seed", "-7 "]) == 0
+    assert capsys.readouterr().out.startswith("trials: 5\n")
+    assert main(["table2", "--machines", "3,4"]) == 0
+    plain = capsys.readouterr()
+    assert main(["table2", "--machines", "\t3, 4 "]) == 0
+    assert capsys.readouterr() == plain
 
 
 @pytest.mark.parametrize("count", ["2_0", "+2", " 2", "\u0663"])

@@ -592,6 +592,9 @@ def test_instance_file_error_precedence(text, line_no, message):
         ("m=\u0663\n1\n", 1, "bad machine count '\u0663'"),
         ("m=2\n\u0661\n", 2, "bad time literal: '\u0661'"),
         ("m=2\n1 + 1/\u0662 r2\n", 2, "bad time literal: '1 + 1/\u0662 r2'"),
+        # the whitespace around a line's content is ASCII only, as inside it
+        ("m=2\u00a0\n1\n", 1, "bad machine count '2\\xa0'"),
+        ("m=2\n\u00a01\n", 2, "bad time literal: '\\xa01'"),
     ],
 )
 def test_instance_file_integers_are_ascii_digits_only(text, line_no, message):
@@ -605,7 +608,8 @@ def test_instance_file_integers_are_ascii_digits_only(text, line_no, message):
     "build", [Time, parse_time, lambda s: Instance.from_sizes([s], 2)]
 )
 @pytest.mark.parametrize(
-    "literal", ["\u0663", "\u0661", "1_0", "+1", "1/\u0662", "1\u00a0+ 1 r2"]
+    "literal",
+    ["\u0663", "\u0661", "1_0", "+1", "1/\u0662", "1\u00a0+ 1 r2", "\u20031", "1\u00a0"],
 )
 def test_size_literals_are_ascii_only(build, literal):
     with pytest.raises(ValueError) as raised:
@@ -616,6 +620,8 @@ def test_size_literals_are_ascii_only(build, literal):
 def test_instance_file_integer_forms_still_read():
     assert parse_instance("m=03\n1\n").machines == 3
     assert parse_instance("m=2\n-1 + 1 r2\n").sizes == (Time(-1, 1),)
+    assert parse_instance(" m=2\t\n\t1 + 1 r2 \t# padded\n").sizes == (Time(1, 1),)
+    assert parse_time("\v 3/2\t") == Time(Fraction(3, 2))
     limit = sys.get_int_max_str_digits()
     # numerator and denominator of as many digits as int() reads, coprime
     wide = f"{'7' * limit}/1{'0' * (limit - 1)}"

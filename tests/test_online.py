@@ -9,14 +9,7 @@ import pytest
 
 from conftest import random_instance, random_order
 from listsched.families import gen_class1, gen_class2, gen_faigle, gen_graham_tight
-from listsched.model import (
-    ArrivalOrder,
-    Instance,
-    Lanes,
-    Time,
-    parse_time,
-    validate_schedule,
-)
+from listsched.model import ArrivalOrder, Instance, Time, parse_time, validate_schedule
 from listsched.online import (
     Lsa,
     OnlinePolicy,
@@ -179,22 +172,6 @@ def test_trace_index_matches_the_replayed_list(instance, policy):
                 trace[i]
     assert trace[1:-1] == steps[1:-1]
     assert trace[::-2] == steps[::-2]
-
-
-def test_trace_index_decodes_only_its_own_step(monkeypatch):
-    decoded = []
-    time = Lanes.time
-    monkeypatch.setattr(
-        Lanes, "time", lambda lanes, load: decoded.append(load) or time(lanes, load)
-    )
-    fam = gen_class2(100)  # 9,901 jobs on 100 machines
-    schedule, trace = run_online(fam.instance, fam.worst_order)
-    decoded.clear()
-    first, last = trace[0], trace[-1]
-    # O(m) loads each, where replaying the whole trace decodes one per step
-    assert len(decoded) <= 2 * 100 < len(trace)
-    assert first.loads_before == (Time(0),) * 100
-    assert last.loads_after == schedule.loads
 
 
 def test_greedy_balance_invariant():
