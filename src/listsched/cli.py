@@ -31,8 +31,8 @@ from .harness import (
     verify_bound,
     worst_order_search,
 )
-from .model import Instance, _parse_int, _write_atomic, format_time, load_instance
-from .model import _SPACE
+from .model import Instance, _check_machines, _parse_int, _write_atomic, format_time
+from .model import _SPACE, load_instance
 from .online import Lsa
 
 OUTPUT_DIR_VAR = "LISTSCHED_OUTPUT_DIR"
@@ -49,8 +49,10 @@ def _int(text: str) -> int:
 
 def _machine_count(text: str) -> int:
     value = _int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"machine count must be >= 2, got {value}")
+    try:
+        _check_machines(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

@@ -429,11 +429,14 @@ _numerator, _sqrt2_coeff, _denominator = map(attrgetter, ("_a", "_b", "_d"))
 _EXACT = (Time, int, Fraction, str)
 
 
-def _require_int(machines: object) -> None:
-    # 2.0 or Fraction(3) would pass the range checks, then fail in list
-    # arithmetic naming neither; a bool is an int and fails those checks
+def _check_machines(machines: object) -> None:
+    # the one machine-count rule: 2.0 or Fraction(3) would pass the range
+    # check, then fail in list arithmetic naming neither; a bool is an int
+    # and fails the range check
     if not isinstance(machines, int):
         raise TypeError(f"machine count must be an int, not {machines!r}")
+    if machines < 2:
+        raise ValueError(f"machine count must be >= 2, got {machines}")
 
 
 class Instance(_Frozen):
@@ -462,9 +465,7 @@ class Instance(_Frozen):
         self.__dict__["jobs"] = jobs
 
     def _fill(self, ids: tuple, sizes: tuple, machines: int) -> None:
-        _require_int(machines)
-        if machines < 2:
-            raise ValueError("an instance needs at least two machines")
+        _check_machines(machines)
         if machines > sys.maxsize:
             raise ValueError(
                 f"machine count {machines} is past the largest list "
@@ -630,11 +631,12 @@ def format_instance(instance: Instance) -> str:
 
 def parse_instance(text: str) -> Instance:
     """Parse the serialized form; '#' starts a comment, blank lines skipped."""
-    lines = text.splitlines()
+    lines = text.split("\n")  # only '\n' ends a line; '\r' is whitespace
+    end = len(lines) + bool(lines[-1])  # the line number past the last line
     bare = ((no, raw.split("#", 1)[0].strip(_SPACE)) for no, raw in enumerate(lines, 1))
     content = [(line_no, line) for line_no, line in bare if line]
     if not content:
-        raise InstanceParseError(len(lines) + 1, "missing machine count 'm=<int>'")
+        raise InstanceParseError(end, "missing machine count 'm=<int>'")
     (machines_line, header), *body = content
     if not header.startswith("m="):
         raise InstanceParseError(machines_line, "expected machine count 'm=<int>'")
@@ -650,17 +652,19 @@ def parse_instance(text: str) -> Instance:
             sizes.append(parse_time(line))
         except ValueError as exc:
             raise InstanceParseError(line_no, str(exc)) from None
-    if machines < 2:
-        raise InstanceParseError(machines_line, f"machine count {machines} below 2")
+    try:
+        _check_machines(machines)
+    except ValueError as exc:
+        raise InstanceParseError(machines_line, str(exc)) from None
     if not sizes:
-        raise InstanceParseError(len(lines) + 1, "instance has no jobs")
+        raise InstanceParseError(end, "instance has no jobs")
     try:
         return Instance.from_sizes(sizes, machines)
     except ValueError as exc:
-        if all(sizes):  # m past sys.maxsize: no size line is at fault
-            raise
-        # from_sizes names the first zero-size job; report it at its line
-        raise InstanceParseError(body[sizes.index(0)][0], str(exc)) from None
+        # from_sizes names the first zero-size job before it checks m against
+        # sys.maxsize; report either at its line
+        line_no = machines_line if all(sizes) else body[sizes.index(0)][0]
+        raise InstanceParseError(line_no, str(exc)) from None
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

@@ -14,6 +14,7 @@ from itertools import groupby
 from typing import NamedTuple, Optional
 
 from .model import ArrivalOrder, Instance, Job, Schedule, Time, format_time
+from .model import _check_machines
 
 __all__ = [
     "OnlinePolicy",
@@ -145,8 +146,7 @@ class Lsa(OnlinePolicy):
         return "LSA-high" if self.high else "LSA"
 
     def choose(self, loads: Sequence[Time], job: Optional[Job] = None) -> int:
-        if len(loads) < 2:
-            raise ValueError("need at least two machines")
+        _check_machines(len(loads))
         # the machine the kernel picks for an item of size zero
         steps: list = []
         greedy((0,), (0,), list(loads), self.high, steps)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import ArrivalOrder, Instance, Schedule, Time, total_load
+from .model import ArrivalOrder, Instance, Schedule, Time, _check_machines, total_load
 from .online import greedy, run_online
 
 __all__ = [
@@ -151,8 +151,7 @@ def opt_structured(family: str, m: int) -> Time:
     class1 ((m-1)^2 unit jobs plus one size-m job) packs to exactly m;
     class2 (m(m-1) unit jobs plus one size-m^2 job) packs to exactly m^2.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    _check_machines(m)
     if family == "class1":
         return Time(m)
     if family == "class2":

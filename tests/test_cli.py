@@ -339,6 +339,24 @@ def test_instance_file_machine_count_is_ascii_digits_only(count, tmp_path, capsy
     assert capsys.readouterr() == ("", f"error: line 1: bad machine count {count!r}\n")
 
 
+def test_instance_file_lines_end_only_at_newline(tmp_path, capsys):
+    # a form feed ends no line, so this file has two lines, not three
+    path = tmp_path / "feed.txt"
+    path.write_bytes(b"m=3\n1\f2\n")
+    assert main(["run", "--instance", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: bad time literal: '1\\x0c2'\n")
+
+
+def test_instance_file_with_crlf_line_ends_reads_as_its_newline_twin(tmp_path, capsys):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"m=3\r\n1\r\n2\r\n")
+    assert main(["run", "--instance", str(path)]) == 0
+    crlf = capsys.readouterr()
+    path.write_bytes(b"m=3\n1\n2\n")
+    assert main(["run", "--instance", str(path)]) == 0
+    assert capsys.readouterr() == crlf
+
+
 # the help pages as the parser with the choices written out printed them, at
 # COLUMNS=80; compared word for word, since the wrapping is argparse's own
 HELP_PAGES = {

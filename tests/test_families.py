@@ -190,7 +190,7 @@ def test_generators_refuse_a_non_int_machine_count_first(machines, monkeypatch):
 def test_generators_refuse_a_small_machine_count_first(machines, monkeypatch):
     # no size or prediction is built: Time(2 * m - 2) would say "negative quantity"
     monkeypatch.setattr(families, "Time", None)
-    message = f"m must be at least 2, got {machines}"
+    message = f"machine count must be >= 2, got {machines}"
     for gen in (gen_class1, gen_class2, gen_graham_tight, gen_faigle):
         with pytest.raises(ValueError) as raised:
             gen(machines)

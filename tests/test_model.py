@@ -559,8 +559,8 @@ def test_instance_file_errors_name_lines():
         # each file holds two faults; the one reported is pinned
         ("m=2\n1\n0\nbogus\n", 4, "bad time literal: 'bogus'"),
         ("m=1\nbogus\n", 2, "bad time literal: 'bogus'"),
-        ("m=1\n0\n", 1, "machine count 1 below 2"),
-        ("m=1\n", 1, "machine count 1 below 2"),
+        ("m=1\n0\n", 1, "machine count must be >= 2, got 1"),
+        ("m=1\n", 1, "machine count must be >= 2, got 1"),
         ("m=two\n0\n", 1, "bad machine count 'two'"),
         ("x=2\nbogus\n", 1, "expected machine count 'm=<int>'"),
         ("m=99999999999999999999\n# c\n1\n\n0\n", 5, "job 2 must have positive size"),
@@ -578,6 +578,67 @@ def test_instance_file_error_precedence(text, line_no, message):
     with pytest.raises(InstanceParseError) as raised:
         parse_instance(text)
     assert str(raised.value) == f"line {line_no}: {message}"
+    assert raised.value.line_no == line_no
+
+
+# only '\n' ends a line: the other characters str.splitlines() breaks at are
+# neither line ends nor the ASCII whitespace a line may hold
+@pytest.mark.parametrize(
+    "separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_instance_file_lines_end_only_at_newline(separator):
+    for text, line in [
+        (f"m=2\n1{separator}2\n", f"1{separator}2"),
+        (f"m=2\n1{separator}2 3\n", f"1{separator}2 3"),
+    ]:
+        with pytest.raises(InstanceParseError) as raised:
+            parse_instance(text)
+        assert str(raised.value) == f"line 2: bad time literal: {line!r}"
+    # a comment runs to the '\n', past any of them
+    assert parse_instance(f"m=2\n1 # a{separator}2\n").sizes == (Time(1),)
+
+
+def test_instance_file_line_ends_that_still_read():
+    want = Instance.from_sizes([1, Time(1, 1)], 2)
+    assert parse_instance("m=2\n1\n1 + 1 r2\n") == want
+    assert parse_instance("m=2\n1\n1 + 1 r2") == want
+    # a '\r' before the '\n' is ASCII whitespace, stripped with the rest
+    assert parse_instance("m=2\r\n1\r\n1 + 1 r2\r\n") == want
+    assert parse_instance("m=2\r\n1\r\n1 + 1 r2") == want
+    # and errors keep their line numbers, the end of the file's among them
+    for text, line_no, message in [
+        ("m=2\r\n1\r\nbogus\r\n", 3, "bad time literal: 'bogus'"),
+        ("\r\n\r\nm=2\r\n# no jobs\r\n", 5, "instance has no jobs"),
+        ("# only a comment\r\n\r\n", 3, "missing machine count 'm=<int>'"),
+        ("m=2\n\t\n", 3, "instance has no jobs"),
+    ]:
+        with pytest.raises(InstanceParseError) as raised:
+            parse_instance(text)
+        assert str(raised.value) == f"line {line_no}: {message}"
+
+
+def test_a_lone_carriage_return_ends_no_line_until_a_file_read_turns_it(tmp_path):
+    with pytest.raises(InstanceParseError) as raised:
+        parse_instance("m=2\r1\r")
+    assert str(raised.value) == "line 1: bad machine count '2\\r1'"
+    # reading a file in text mode turns each '\r' into '\n'
+    path = tmp_path / "mac.txt"
+    path.write_bytes(b"m=2\r1\r1 + 1 r2\r")
+    assert load_instance(path) == Instance.from_sizes([1, Time(1, 1)], 2)
+
+
+@pytest.mark.parametrize("machines", [sys.maxsize + 1, 10**20])
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("head, line_no", [("", 1), ("# c\n\n", 3)])
+def test_instance_file_machine_count_past_maxsize_is_reported_at_its_line(
+    head, line_no, ending, machines
+):
+    with pytest.raises(InstanceParseError) as raised:
+        parse_instance(f"{head}m={machines}\n1\n2\n".replace("\n", ending))
+    assert str(raised.value) == (
+        f"line {line_no}: machine count {machines} is past the largest list "
+        f"index {sys.maxsize}"
+    )
     assert raised.value.line_no == line_no
 
 
@@ -673,5 +734,5 @@ def test_machine_count_must_be_an_int(machines):
 
 @pytest.mark.parametrize("machines", [True, False])
 def test_bool_machine_count_is_below_two(machines):
-    with pytest.raises(ValueError, match="at least two machines"):
+    with pytest.raises(ValueError, match=f"machine count must be >= 2, got {machines}"):
         Instance.from_sizes([1, 2, 3], machines)
