@@ -17,10 +17,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .families import _GENERATORS, GeneratedFamily, generate
 from .harness import (
+    VERIFY_MAX_M,
+    VERIFY_MAX_N,
     BoundViolation,
     RatioReport,
     WorstOrderResult,
@@ -68,6 +70,16 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
+
+
+def _at_most(limit: int, parse: Callable[[str], int]) -> Callable[[str], int]:
+    def check(text: str) -> int:
+        value = parse(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {value}")
+        return value
+
+    return check
 
 
 def _policy(name: str) -> Lsa:
@@ -265,8 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="randomized bound check")
     verify.add_argument("--trials", type=_positive, default=100)
-    verify.add_argument("--max-n", type=_positive, default=12)
-    verify.add_argument("--max-m", type=_machine_count, default=4)
+    verify.add_argument(
+        "--max-n", type=_at_most(VERIFY_MAX_N, _positive), default=VERIFY_MAX_N
+    )
+    verify.add_argument(
+        "--max-m", type=_at_most(VERIFY_MAX_M, _machine_count), default=VERIFY_MAX_M
+    )
     verify.add_argument("--size-min", type=_positive, default=1)
     verify.add_argument("--size-max", type=_positive, default=9)
     verify.add_argument("--seed", type=_int, default=0, help="RNG seed (default 0)")

@@ -61,13 +61,21 @@ REPORT_COLUMNS = (
     "satisfied",
 )
 
+VERIFY_MAX_N, VERIFY_MAX_M = 12, 4  # verify's contract: the oracle always finishes
+
 
 def instance_digest(instance: Instance) -> str:
     """Short content hash identifying an instance in reports."""
-    import hashlib  # loaded on first use: it maps all of OpenSSL (~4 MiB)
+    try:  # CPython's own sha256, loaded on first use: hashlib maps OpenSSL
+        from _sha2 import sha256  # 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     text = format_instance(instance)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    return sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 def greedy_bound(m: int) -> Fraction:
@@ -285,9 +293,10 @@ class BoundViolation(AssertionError):
 class BoundCheckSummary(NamedTuple):
     """Result of a randomized check of the greedy guarantee.
 
-    undecided counts the trials whose optimum was only a lower bound, so
-    their bound was not checked. The witness has the largest ratio among
-    the decided trials, or among all trials when none was decided.
+    undecided counts the trials that reached the oracle and kept only a
+    lower bound on the optimum (verify_bound says which trials reach it).
+    The witness has the largest ratio among the decided trials, or among
+    all trials when none was decided.
     """
 
     trials: int
@@ -301,8 +310,8 @@ class BoundCheckSummary(NamedTuple):
 
 def verify_bound(
     trials: int,
-    max_n: int = 12,
-    max_m: int = 4,
+    max_n: int = VERIFY_MAX_N,
+    max_m: int = VERIFY_MAX_M,
     size_range: tuple[int, int] = (1, 9),
     seed: int = 0,
     policy: Optional[OnlinePolicy] = None,
@@ -310,21 +319,27 @@ def verify_bound(
     """Check the 2 - 1/m guarantee on random instances and random orders.
 
     Instance sizes stay small (the contract caps n at 12 and m at 4) so the
-    exact oracle always finishes. Any trial whose ratio exceeds the bound
-    raises BoundViolation with the serialized counterexample; for the
-    default greedy policy that cannot happen unless the implementation is
-    broken.
+    exact oracle always finishes. Under the greedy kernel each trial is
+    decided on its int sizes by Graham's certificate: the job that ends
+    last starts by (total - its size)/m, so lb <= alg <= (2 - 1/m) lb for
+    lb = max(total/m, largest size); a run outside that range raises
+    RuntimeError. As opt >= lb, only a trial whose alg/lb exceeds the
+    largest decided ratio so far can replace the witness, and only it
+    reaches the oracle. Any other policy runs the oracle on every trial.
+    A trial whose ratio exceeds the bound raises BoundViolation with the
+    serialized counterexample.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not 1 <= max_n <= 12:
-        raise ValueError("max_n must be between 1 and 12")
-    if not 2 <= max_m <= 4:
-        raise ValueError("max_m must be between 2 and 4")
+    if not 1 <= max_n <= VERIFY_MAX_N:
+        raise ValueError(f"max_n must be between 1 and {VERIFY_MAX_N}")
+    if not 2 <= max_m <= VERIFY_MAX_M:
+        raise ValueError(f"max_m must be between 2 and {VERIFY_MAX_M}")
     lo, hi = size_range
     if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
         raise ValueError("size_range must be integers with 1 <= lo <= hi")
     rng = random.Random(seed)
+    high = _kernel_high(policy)
     # the largest ratio over decided trials, and over undecided ones
     best: dict[bool, RatioReport] = {}
     undecided = 0
@@ -332,11 +347,20 @@ def verify_bound(
         n = rng.randint(1, max_n)
         m = rng.randint(2, max_m)
         sizes = [rng.randint(lo, hi) for _ in range(n)]
-        instance = Instance.from_sizes(sizes, m)
-        ids = list(instance.job_ids)
+        ids = list(range(1, n + 1))  # the ids Instance.from_sizes gives
         rng.shuffle(ids)
-        order = ArrivalOrder(tuple(ids))
-        report = competitive_ratio(instance, order, policy)
+        if high is not None:
+            alg = max(greedy(ids, (0, *sizes), [0] * m, high))
+            top = max(sum(sizes), m * max(sizes))  # lb = top/m
+            if not (top <= m * alg and m * m * alg <= (2 * m - 1) * top):
+                raise RuntimeError(
+                    f"greedy makespan {alg} on m={m} is outside Graham's "
+                    f"range for sizes {sizes} in order {ids}"
+                )
+            if True in best and Fraction(m * alg, top) <= best[True].ratio:
+                continue
+        instance = Instance.from_sizes(sizes, m)
+        report = competitive_ratio(instance, ArrivalOrder(tuple(ids)), policy)
         satisfied = report.bound_satisfied
         if satisfied is False:
             raise BoundViolation(report)

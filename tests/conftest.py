@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+from listsched.harness import BoundCheckSummary, BoundViolation, competitive_ratio
 from listsched.model import ArrivalOrder, Instance, Schedule, Time
 from listsched.online import TraceStep
 
@@ -84,6 +85,35 @@ def random_order(rng: random.Random, instance: Instance) -> ArrivalOrder:
     ids = list(instance.job_ids)
     rng.shuffle(ids)
     return ArrivalOrder(tuple(ids))
+
+
+def reference_verify(
+    trials: int,
+    max_n: int,
+    max_m: int,
+    size_range: tuple[int, int],
+    seed: int,
+    policy=None,
+) -> BoundCheckSummary:
+    """verify_bound's summary with the oracle run on every trial.
+
+    It draws what verify_bound draws, but decides each trial by
+    competitive_ratio alone, with no certificate and no skipped trial: it
+    is the reference the certificate path is checked against.
+    """
+    rng = random.Random(seed)
+    best: dict = {}
+    undecided = 0
+    for _ in range(trials):
+        instance = random_instance(rng, max_n, max_m, *size_range)
+        report = competitive_ratio(instance, random_order(rng, instance), policy)
+        if report.bound_satisfied is False:
+            raise BoundViolation(report)
+        decided = report.bound_satisfied is not None
+        undecided += not decided
+        if decided not in best or best[decided].ratio < report.ratio:
+            best[decided] = report
+    return BoundCheckSummary(trials, undecided, best.get(True) or best[False])
 
 
 def deep_instance() -> Instance:

@@ -529,6 +529,25 @@ def test_verify_exits_1_when_the_bound_fails(monkeypatch, capsys):
     assert "exceeds bound 0.5000" in captured.err
 
 
+@pytest.mark.parametrize("shift", [lambda load: load + 100, lambda load: 0])
+def test_verify_with_a_broken_kernel_is_an_invariant_violation(shift, monkeypatch, capsys):
+    """A greedy run outside Graham's range [lb, (2 - 1/m) lb] is a kernel
+    bug, not a counterexample to the bound."""
+    real = harness.greedy
+
+    def broken(order, size_of, loads, high=False, steps=None):
+        return [shift(load) for load in real(order, size_of, loads, high, steps)]
+
+    monkeypatch.setattr(harness, "greedy", broken)
+    assert main(["verify", "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant violated: greedy makespan ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert "bound violated" not in captured.err
+
+
 def test_run_prints_its_report_then_exits_1_when_the_bound_fails(monkeypatch, capsys):
     monkeypatch.setattr(harness, "greedy_bound", lambda m: Fraction(1, 2))
     assert main(["run", "--family", "class1", "--m", "4"]) == 1
@@ -572,6 +591,43 @@ def test_verify_reports_undecided_trials_on_stderr_only(monkeypatch, capsys):
     assert undecided > 0
     assert captured.err == f"undecided: {undecided}\n"
     assert "violations: 0" in captured.out
+
+
+def test_readme_verify_run_prints_five_pinned_lines(capsys):
+    assert main(["verify", "--trials", "1000", "--seed", "42"]) == 0
+    assert capsys.readouterr() == (
+        "trials: 1000\n"
+        "violations: 0\n"
+        "max ratio: 14/9 = 1.5556 (m=4, bound 1.7500)\n"
+        "witness instance: 21cde52f04a1\n"
+        "witness order: 7 3 1 5 2 4 6\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-n", "13", "must be at most 12, got 13"),
+        ("--max-n", "0", "must be positive, got 0"),
+        ("--max-m", "5", "must be at most 4, got 5"),
+    ],
+)
+def test_verify_sizes_past_the_contract_are_usage_errors(option, value, message, capsys):
+    """verify's contract range (n <= 12, 2 <= m <= 4) is checked by the
+    option types, so argparse refuses a value past it with its usage line."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: listsched verify ")
+    assert captured.err.endswith(f"\nlistsched verify: error: argument {option}: {message}\n")
+
+
+def test_verify_takes_the_contract_limits(capsys):
+    assert main(["verify", "--trials", "5", "--max-n", "12", "--max-m", "4"]) == 0
+    assert "trials: 5\n" in capsys.readouterr().out
 
 
 def test_worst_order_family(capsys):

@@ -2,21 +2,25 @@
 values, Instance.from_sizes against one Job per size, instance files
 read back, the greedy kernel, its bulk placement of long runs and its
 invariants under any arrival order, the coded order search, rank/unrank,
-and the exact oracle against the greedy bound."""
+the exact oracle against the greedy bound, instance digests, and
+verify_bound against a run of the oracle on every trial."""
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from decimal import ROUND_FLOOR, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_greedy, reference_render
-from listsched.harness import worst_order_search
+from conftest import reference_greedy, reference_render, reference_verify
+from listsched import harness
+from listsched.harness import instance_digest, verify_bound, worst_order_search
 from listsched.model import (
     ArrivalOrder,
     Instance,
@@ -35,7 +39,14 @@ from listsched.multiperm import (
     rank_permutation,
     unrank_permutation,
 )
-from listsched.online import Lsa, greedy, online_makespan, run_online, trace_jsonl
+from listsched.online import (
+    Lsa,
+    OnlinePolicy,
+    greedy,
+    online_makespan,
+    run_online,
+    trace_jsonl,
+)
 from listsched.oracle import lower_bound, opt_exact
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -370,3 +381,59 @@ def test_oracle_sits_between_the_load_bound_and_greedy(case):
     m = instance.machines
     assert lower_bound(instance) <= opt.value <= greedy_makespan
     assert greedy_makespan <= opt.value * (2 - Fraction(1, m))
+
+
+@PROPERTY
+@given(st.lists(FILE_SIZES, min_size=1, max_size=8), st.integers(2, sys.maxsize))
+def test_instance_digest_is_hashlib_sha256_of_the_file_text(sizes, m):
+    instance = Instance.from_sizes(sizes, m)
+    text = format_instance(instance)
+    assert instance_digest(instance) == hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+class NamedLsa(Lsa):
+    """Keeps Lsa.choose, so it runs through the greedy kernel."""
+
+    name = "named"
+
+
+class LeastLoaded(OnlinePolicy):
+    """Greedy by a plain scan of its own choose, so it runs the oracle on
+    every trial."""
+
+    name = "least-loaded"
+
+    def choose(self, loads, job):
+        return min(range(len(loads)), key=loads.__getitem__) + 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 8),
+    st.integers(2, 4),
+    st.integers(1, 9),
+    st.integers(0, 9),
+    st.integers(0, 2**32),
+    st.sampled_from([Lsa(), Lsa("high"), NamedLsa(), LeastLoaded()]),
+    st.sampled_from([harness.DEFAULT_NODE_BUDGET, 0, 50]),
+)
+def test_verify_bound_matches_the_oracle_on_every_trial(
+    trials, max_n, max_m, lo, span, seed, policy, budget
+):
+    """Deciding kernel trials by Graham's certificate and skipping those
+    that cannot replace the witness gives the summary of running the
+    oracle on every trial; a policy off the kernel gives it exactly."""
+    args = (trials, max_n, max_m, (lo, lo + span), seed, policy)
+    with mock.patch.object(harness, "DEFAULT_NODE_BUDGET", budget):
+        summary, want = verify_bound(*args), reference_verify(*args)
+    assert (summary.trials, summary.violations) == (want.trials, want.violations)
+    got_witness, want_witness = summary.witness_report, want.witness_report
+    assert got_witness.ratio == want_witness.ratio
+    assert got_witness.instance == want_witness.instance
+    assert got_witness.order == want_witness.order
+    assert got_witness.policy == want_witness.policy == policy.name
+    if isinstance(policy, LeastLoaded):
+        assert summary.undecided == want.undecided
+    else:
+        assert summary.undecided <= want.undecided
