@@ -173,6 +173,11 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.size_min > args.size_max:
+        args.usage_error(
+            f"argument --size-min: must be at most --size-max ({args.size_max}), "
+            f"got {args.size_min}"
+        )
     summary = verify_bound(
         args.trials,
         max_n=args.max_n,
@@ -287,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--size-max", type=_positive, default=9)
     verify.add_argument("--seed", type=_int, default=0, help="RNG seed (default 0)")
     _add_output(verify)
-    verify.set_defaults(handler=cmd_verify)
+    # verify refuses --size-min past --size-max through its own usage line
+    verify.set_defaults(handler=cmd_verify, usage_error=verify.error)
 
     worst = sub.add_parser("worst-order", help="search for the worst arrival order")
     _add_instance_args(worst)

@@ -199,12 +199,12 @@ def worst_order_search(
     # Sizes become codes 0..k-1 in increasing order: the map is monotone,
     # so lexicographic order, ranks and tie-breaks are those of the sizes.
     lanes = instance.lanes
-    distinct = sorted(set(lanes.sizes.values()))
+    distinct = sorted(set(lanes.sizes))
     code = {size: c for c, size in enumerate(distinct)}
-    codes = [code[size] for size in lanes.sizes.values()]
+    codes = [code[size] for size in lanes.sizes]
     pools: list[list[int]] = [[] for _ in distinct]
-    for job_id, size in sorted(lanes.sizes.items()):
-        pools[code[size]].append(job_id)
+    for job_id, c in sorted(zip(instance.job_ids, codes)):
+        pools[c].append(job_id)
     total = permutation_count(codes)
     exhaustive = total <= enumeration_cap
     if exhaustive:

@@ -14,9 +14,8 @@ import tempfile
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from itertools import repeat
 from math import gcd, isqrt, lcm
-from operator import attrgetter, floordiv, mul
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -407,7 +406,7 @@ class Job(_Frozen):
 
 
 class Lanes(NamedTuple):
-    """An instance's job sizes lowered once for the hot loops.
+    """An instance's job sizes lowered once, as a column aligned with job_ids.
 
     When every size is rational, each becomes an int count of 1/scale
     units (scale is the least common denominator), so loads add and compare
@@ -416,15 +415,23 @@ class Lanes(NamedTuple):
     a load back into a Time at the edge.
     """
 
-    sizes: dict  # job id -> size as a lane value
+    sizes: tuple  # the lane value of each job, in job_ids order
     zero: Union[int, Time]
     scale: int
 
     def time(self, value: Union[int, Time]) -> Time:
         return Time._make(value, 0, self.scale) if self.scale else value
 
+    @classmethod
+    def lower(cls, values: Sequence[Time], codes: Iterable[int]) -> "Lanes":
+        """The one rule that lowers sizes: the lanes of values[c] for c in codes."""
+        if any(value._b for value in values):
+            return cls(tuple(map(values.__getitem__, codes)), Time(0), 0)
+        scale = lcm(*{value._d for value in values})
+        lane = [value._a * (scale // value._d) for value in values]
+        return cls(tuple(map(lane.__getitem__, codes)), 0, scale)
 
-_numerator, _sqrt2_coeff, _denominator = map(attrgetter, ("_a", "_b", "_d"))
+
 # the types Job turns into a Time; a float or Decimal may equal one of them
 _EXACT = (Time, int, Fraction, str)
 
@@ -442,8 +449,8 @@ def _check_machines(machines: object) -> None:
 class Instance(_Frozen):
     """A job list (in listed order) together with the machine count.
 
-    The jobs are held as two columns, job_ids and sizes (each a Time), so
-    the greedy kernel, the oracle and the file writers read whole columns.
+    The jobs are held as columns: job_ids, sizes (each a Time) and lanes,
+    the sizes lowered for the greedy kernel and the oracle, in job_ids order.
     The Job objects are built only when jobs, job() or iteration asks for
     them. Instance(jobs, machines) takes Job objects, and keeps them.
     """
@@ -456,15 +463,14 @@ class Instance(_Frozen):
     def __init__(self, jobs: Iterable[Job], machines: int):
         jobs = tuple(jobs)
         ids = tuple(map(attrgetter("id"), jobs))
-        self._fill(ids, tuple(map(attrgetter("size"), jobs)), machines)
+        self._fill(ids, tuple(map(attrgetter("size"), jobs)), machines, jobs=jobs)
         seen = set()
         for job_id in ids:
             if job_id in seen:
                 raise ValueError(f"duplicate job id {job_id}")
             seen.add(job_id)
-        self.__dict__["jobs"] = jobs
 
-    def _fill(self, ids: tuple, sizes: tuple, machines: int) -> None:
+    def _fill(self, ids: tuple, sizes: tuple, machines: int, **derived) -> None:
         _check_machines(machines)
         if machines > sys.maxsize:
             raise ValueError(
@@ -473,37 +479,38 @@ class Instance(_Frozen):
             )
         if not ids:
             raise ValueError("an instance needs at least one job")
-        self.__dict__.update(job_ids=ids, sizes=sizes, machines=machines)
+        self.__dict__.update(job_ids=ids, sizes=sizes, machines=machines, **derived)
 
     @classmethod
     def from_sizes(cls, sizes: Sequence[TimeLike], machines: int) -> "Instance":
         """Build an instance with ids 1..n assigned in listed order.
 
-        Families repeat a handful of sizes thousands of times, so each
-        distinct size is converted and checked once, and equal sizes share
-        the one Time; no per-job object is built.
+        Families reuse a handful of sizes thousands of times, so each
+        distinct size is converted, checked and lowered once; one table
+        lookup per job gives the index of both its Time and its lane value.
         """
         # a float equal to an exact size before it would pass as that size
         if not all(issubclass(kind, _EXACT) for kind in set(map(type, sizes))):
             bad = next(s for s in sizes if not isinstance(s, _EXACT))
             raise TypeError(f"not an exact rational: {bad!r}")
-        checked = dict.fromkeys(sizes)
-        for s in checked:
+        table = dict.fromkeys(sizes)
+        distinct = []
+        for s in table:
             size = as_time(s)
             if not size:
                 # Job refuses it, naming the first job of that size
                 Job(sizes.index(s) + 1, size)
-            checked[s] = size
+            table[s] = len(distinct)
+            distinct.append(size)
+        codes = list(map(table.__getitem__, sizes))
+        times = tuple(map(distinct.__getitem__, codes))
+        lanes = Lanes.lower(distinct, codes)
         self = object.__new__(cls)
-        self._fill(
-            tuple(range(1, len(sizes) + 1)),
-            tuple(map(checked.__getitem__, sizes)),
-            machines,
-        )
+        self._fill(tuple(range(1, len(sizes) + 1)), times, machines, lanes=lanes)
         return self
 
-    # Derived state is built on first use: the greedy paths read only the
-    # lanes, and a caller that keeps many instances keeps no map unused.
+    # Derived state is built on first use unless the constructor had it: a
+    # caller that keeps many instances keeps no map unused.
     @cached_property
     def jobs(self) -> tuple[Job, ...]:
         return tuple(map(Job, self.job_ids, self.sizes))
@@ -518,16 +525,7 @@ class Instance(_Frozen):
     @cached_property
     def lanes(self) -> Lanes:
         """The job sizes as lane values."""
-        ids, sizes = self.job_ids, self.sizes
-        if any(map(_sqrt2_coeff, sizes)):
-            return Lanes(dict(zip(ids, sizes)), Time(0), 0)
-        scale = lcm(*set(map(_denominator, sizes)))
-        values = map(_numerator, sizes)
-        if scale > 1:
-            values = map(
-                mul, values, map(floordiv, repeat(scale), map(_denominator, sizes))
-            )
-        return Lanes(dict(zip(ids, values)), 0, scale)
+        return Lanes.lower(self.sizes, range(len(self.sizes)))
 
     def __len__(self) -> int:
         return len(self.job_ids)
@@ -574,10 +572,11 @@ class Schedule(NamedTuple):
 def build_schedule(instance: Instance, assignment: Mapping[int, int]) -> Schedule:
     """Construct a schedule from a job-id -> machine map, checking it fully."""
     lanes = instance.lanes
+    size_of = dict(zip(instance.job_ids, lanes.sizes))
     loads = [lanes.zero] * instance.machines
     for job_id, machine in assignment.items():
         try:
-            size = lanes.sizes[job_id]
+            size = size_of[job_id]
         except KeyError:
             raise ValueError(f"assignment mentions unknown job {job_id}") from None
         if not 1 <= machine <= instance.machines:
@@ -592,7 +591,7 @@ def build_schedule(instance: Instance, assignment: Mapping[int, int]) -> Schedul
 
 def total_load(instance: Instance) -> Time:
     lanes = instance.lanes
-    return lanes.time(sum(lanes.sizes.values(), lanes.zero))
+    return lanes.time(sum(lanes.sizes, lanes.zero))
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> Optional[str]:

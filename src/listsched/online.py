@@ -232,10 +232,11 @@ def _place(instance, order, policy, steps) -> list:
         raise ValueError("arrival order is not a permutation of the instance's jobs")
     m = instance.machines
     lanes = instance.lanes
+    size_of = dict(zip(instance.job_ids, lanes.sizes))
     loads = [lanes.zero] * m
     high = _kernel_high(policy)
     if high is not None:
-        return greedy(order.permutation, lanes.sizes, loads, high, steps)
+        return greedy(order.permutation, size_of, loads, high, steps)
     times = [Time(0)] * m  # loads as Time, converted once per placement
     for job_id in order.permutation:
         machine = policy.choose(tuple(times), instance.job(job_id))
@@ -243,7 +244,7 @@ def _place(instance, order, policy, steps) -> list:
             raise RuntimeError(
                 f"policy {policy.name} chose invalid machine {machine!r}"
             )
-        load = loads[machine - 1] + lanes.sizes[job_id]
+        load = loads[machine - 1] + size_of[job_id]
         loads[machine - 1], times[machine - 1] = load, lanes.time(load)
         if steps is not None:
             steps.append((job_id, machine, load))

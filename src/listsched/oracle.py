@@ -54,13 +54,13 @@ def lower_bound(instance: Instance) -> Time:
     """max(total load / m, largest job size): no schedule finishes sooner."""
     lanes = instance.lanes
     average = total_load(instance) / instance.machines
-    largest = lanes.time(max(lanes.sizes.values()))
+    largest = lanes.time(max(lanes.sizes))
     return average if largest < average else largest
 
 
 def lpt_order(instance: Instance) -> ArrivalOrder:
     """Jobs sorted by non-increasing size, ties by ascending id."""
-    size = instance.lanes.sizes
+    size = dict(zip(instance.job_ids, instance.lanes.sizes))
     # sorted() is stable, so equal sizes keep their ascending-id order
     descending = sorted(sorted(size), key=size.__getitem__, reverse=True)
     return ArrivalOrder(tuple(descending))
@@ -95,7 +95,7 @@ def opt_exact(
     lanes = instance.lanes
     # the sizes largest first: the LPT order's size sequence, which is all
     # that its greedy makespan and the search below depend on
-    descending = sorted(lanes.sizes.values(), reverse=True)
+    descending = sorted(lanes.sizes, reverse=True)
     n = len(descending)
     best = lanes.time(max(greedy(range(n), descending, [lanes.zero] * m)))
     if best == lb:

@@ -611,11 +611,13 @@ def test_readme_verify_run_prints_five_pinned_lines(capsys):
         ("--max-n", "13", "must be at most 12, got 13"),
         ("--max-n", "0", "must be positive, got 0"),
         ("--max-m", "5", "must be at most 4, got 5"),
+        ("--size-min", "10", "must be at most --size-max (9), got 10"),
     ],
 )
 def test_verify_sizes_past_the_contract_are_usage_errors(option, value, message, capsys):
     """verify's contract range (n <= 12, 2 <= m <= 4) is checked by the
-    option types, so argparse refuses a value past it with its usage line."""
+    option types, and a size range that is empty by verify's parser, so a
+    value past it is refused with the usage line."""
     with pytest.raises(SystemExit) as exc:
         main(["verify", option, value])
     assert exc.value.code == 2
@@ -623,6 +625,23 @@ def test_verify_sizes_past_the_contract_are_usage_errors(option, value, message,
     assert captured.out == ""
     assert captured.err.startswith("usage: listsched verify ")
     assert captured.err.endswith(f"\nlistsched verify: error: argument {option}: {message}\n")
+
+
+def test_verify_size_range_must_not_be_empty(capsys):
+    """--size-min past --size-max is a usage error that names both options,
+    not the library's size_range; an equal pair is a one-size range."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--size-min", "9", "--size-max", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: listsched verify ")
+    assert captured.err.endswith(
+        "\nlistsched verify: error: argument --size-min: "
+        "must be at most --size-max (2), got 9\n"
+    )
+    assert main(["verify", "--trials", "5", "--size-min", "5", "--size-max", "5"]) == 0
+    assert "trials: 5\nviolations: 0\n" in capsys.readouterr().out
 
 
 def test_verify_takes_the_contract_limits(capsys):

@@ -2,11 +2,13 @@
 values, Instance.from_sizes against one Job per size, instance files
 read back, the greedy kernel, its bulk placement of long runs and its
 invariants under any arrival order, the coded order search, rank/unrank,
-the exact oracle against the greedy bound, instance digests, and
-verify_bound against a run of the oracle on every trial."""
+the exact oracle against the greedy bound, instance digests,
+verify_bound against a run of the oracle on every trial, and instances
+whose ids are not 1..n against their renumbering."""
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 import sys
 from decimal import ROUND_FLOOR, ROUND_HALF_UP, Context, Decimal
@@ -26,6 +28,7 @@ from listsched.model import (
     Instance,
     Job,
     Time,
+    build_schedule,
     format_instance,
     format_time,
     parse_instance,
@@ -47,7 +50,7 @@ from listsched.online import (
     run_online,
     trace_jsonl,
 )
-from listsched.oracle import lower_bound, opt_exact
+from listsched.oracle import lower_bound, lpt_order, opt_exact
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -201,7 +204,9 @@ MIXED_SIZES = st.one_of(
 def test_from_sizes_matches_building_each_job(sizes, m):
     """The columns from_sizes fills give the instance that numbering a
     Job per size gives: equal and equally hashed, with the same ids, jobs,
-    lanes, file bytes and exact optimum down to its node count."""
+    lanes, file bytes and exact optimum down to its node count. Its lane
+    column holds each job's size in job_ids order, and an unpickled copy,
+    which lowers its sizes on first use, has the same lanes."""
     instance = Instance.from_sizes(sizes, m)
     built = Instance(tuple(Job(i, s) for i, s in enumerate(sizes, start=1)), m)
     assert instance == built
@@ -209,6 +214,13 @@ def test_from_sizes_matches_building_each_job(sizes, m):
     assert instance.job_ids == built.job_ids
     assert instance.jobs == built.jobs
     assert instance.lanes == built.lanes
+    lanes = instance.lanes
+    assert len(lanes.sizes) == len(instance.job_ids)
+    for k, size in enumerate(sizes):
+        assert lanes.time(lanes.sizes[k]) == Time(size)
+    copy = pickle.loads(pickle.dumps(instance))
+    assert "lanes" not in vars(copy)
+    assert copy.lanes == lanes
     assert format_instance(instance) == format_instance(built)
     got, want = opt_exact(instance), opt_exact(built)
     assert (got.value, got.kind, got.nodes_explored) == (
@@ -437,3 +449,65 @@ def test_verify_bound_matches_the_oracle_on_every_trial(
         assert summary.undecided == want.undecided
     else:
         assert summary.undecided <= want.undecided
+
+
+@st.composite
+def renumbered(draw) -> tuple:
+    """(instance numbered 1..n, its ids mapped one to one onto strictly
+    increasing ids that may be 0 or negative, an arrival order of the
+    instance, a listing of its jobs)."""
+    instance = draw(instances(max_n=7, max_m=3))
+    n = len(instance)
+    ids = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True))
+    order = tuple(draw(st.permutations(instance.job_ids)))
+    listing = draw(st.permutations(range(n)))
+    return instance, sorted(ids), order, listing
+
+
+@PROPERTY
+@given(
+    renumbered(),
+    st.sampled_from([Lsa(), Lsa("high"), LeastLoaded()]),
+    st.integers(1, 60),
+)
+def test_ids_other_than_1_to_n_score_as_their_renumbering(case, policy, cap):
+    """Renumbering the jobs by an increasing map changes no score: every
+    call site reads the lane column through the job ids, not by them.
+    Listing the jobs out of id order changes no makespan either."""
+    dense, ids, order, listing = case
+    sparse = Instance(tuple(map(Job, ids, dense.sizes)), dense.machines)
+    new_id = dict(zip(dense.job_ids, ids))
+
+    def renamed(job_ids) -> tuple:
+        return tuple(new_id[job_id] for job_id in job_ids)
+
+    sparse_order = ArrivalOrder(renamed(order))
+    schedule, trace = run_online(sparse, sparse_order, policy)
+    want, want_trace = run_online(dense, ArrivalOrder(order), policy)
+    machines = want.assignment.values()
+    assert schedule.assignment == dict(zip(renamed(want.assignment), machines))
+    assert (schedule.loads, schedule.makespan) == (want.loads, want.makespan)
+    assert [step[1:] for step in trace] == [step[1:] for step in want_trace]
+    placed = renamed(step.job_id for step in want_trace)
+    assert tuple(step.job_id for step in trace) == placed
+    assert online_makespan(sparse, sparse_order, policy) == want.makespan
+    assert lpt_order(sparse).permutation == renamed(lpt_order(dense).permutation)
+    assert build_schedule(sparse, schedule.assignment) == schedule
+    got, want_opt = opt_exact(sparse), opt_exact(dense)
+    assert (got.value, got.kind, got.nodes_explored) == (
+        want_opt.value,
+        want_opt.kind,
+        want_opt.nodes_explored,
+    )
+    worst = worst_order_search(sparse, policy, enumeration_cap=cap)
+    want_worst = worst_order_search(dense, policy, enumeration_cap=cap)
+    assert worst.worst_makespan == want_worst.worst_makespan
+    assert worst.best_order.permutation == renamed(want_worst.best_order.permutation)
+
+    shuffled = Instance(tuple(sparse.jobs[k] for k in listing), sparse.machines)
+    assert online_makespan(shuffled, sparse_order, policy) == want.makespan
+    assert run_online(shuffled, sparse_order, policy)[0].makespan == want.makespan
+    assert lpt_order(shuffled).permutation == lpt_order(sparse).permutation
+    assert opt_exact(shuffled).value == want_opt.value
+    got = worst_order_search(shuffled, policy, enumeration_cap=cap).worst_makespan
+    assert got == want_worst.worst_makespan
