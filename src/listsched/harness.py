@@ -323,11 +323,11 @@ def verify_bound(
     decided on its int sizes by Graham's certificate: the job that ends
     last starts by (total - its size)/m, so lb <= alg <= (2 - 1/m) lb for
     lb = max(total/m, largest size); a run outside that range raises
-    RuntimeError. As opt >= lb, only a trial whose alg/lb exceeds the
-    largest decided ratio so far can replace the witness, and only it
-    reaches the oracle. Any other policy runs the oracle on every trial.
-    A trial whose ratio exceeds the bound raises BoundViolation with the
-    serialized counterexample.
+    RuntimeError. As opt is a whole number of at least lb, only a trial
+    whose alg/ceil(lb) exceeds the largest decided ratio so far can
+    replace the witness, and only it reaches the oracle. Any other policy
+    runs the oracle on every trial. A trial whose ratio exceeds the bound
+    raises BoundViolation with the serialized counterexample.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -342,6 +342,7 @@ def verify_bound(
     high = _kernel_high(policy)
     # the largest ratio over decided trials, and over undecided ones
     best: dict[bool, RatioReport] = {}
+    p, q = 0, 1  # the largest decided ratio as ints, 0 before any
     undecided = 0
     for _ in range(trials):
         n = rng.randint(1, max_n)
@@ -357,7 +358,8 @@ def verify_bound(
                     f"greedy makespan {alg} on m={m} is outside Graham's "
                     f"range for sizes {sizes} in order {ids}"
                 )
-            if True in best and Fraction(m * alg, top) <= best[True].ratio:
+            # ratio <= alg / ceil(lb), as opt is a whole number >= lb
+            if alg * q <= p * -(-top // m):
                 continue
         instance = Instance.from_sizes(sizes, m)
         report = competitive_ratio(instance, ArrivalOrder(tuple(ids)), policy)
@@ -368,6 +370,8 @@ def verify_bound(
         undecided += not decided
         if decided not in best or best[decided].ratio < report.ratio:
             best[decided] = report
+            if decided:
+                p, q = report.ratio.as_fraction().as_integer_ratio()
     return BoundCheckSummary(trials, undecided, best.get(True) or best[False])
 
 

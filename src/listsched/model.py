@@ -202,7 +202,7 @@ class Time:
         b = self._b * o._a - self._a * o._b
         return Time._make(a * o._d, b * o._d, self._d * norm)
 
-    # total_ordering derives <=, > and >= from these two
+    # total_ordering derives <= and >= from these; > is its own, for max()
     def __lt__(self, other: Operand) -> bool:
         if type(other) is not Time:
             other = _coerce(other, quantity=False)
@@ -212,6 +212,16 @@ class Time:
             self._a * other._d - other._a * self._d,
             self._b * other._d - other._b * self._d,
         ) < 0
+
+    def __gt__(self, other: Operand) -> bool:
+        if type(other) is not Time:
+            other = _coerce(other, quantity=False)
+            if other is None:
+                return NotImplemented
+        return _sign_pair(
+            self._a * other._d - other._a * self._d,
+            self._b * other._d - other._b * self._d,
+        ) > 0
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Time:

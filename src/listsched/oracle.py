@@ -2,8 +2,8 @@
 
 Minimizing makespan on identical machines is NP-hard, so the exact solver
 is branch and bound over job-to-machine assignments, jobs largest first,
-seeded with the LPT schedule as incumbent. A schedule matching
-max(total/m, largest job) is provably optimal, so common cases are instant;
+seeded with the LPT schedule as incumbent. A schedule that meets
+lower_bound is provably optimal, so common cases are instant;
 the structured families also have closed-form optima (opt_structured).
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ class OptResult(NamedTuple):
     """Optimal makespan (or best known bound) with its provenance.
 
     kind is one of: 'exact' (search completed), 'certified-by-bound' (a
-    schedule met the load lower bound, optimal by certificate), or
+    schedule met lower_bound, optimal by certificate), or
     'lower-bound-only' (search aborted; value is only a lower bound and
     ratios against it overestimate the truth).
     """
@@ -51,10 +51,14 @@ class OptResult(NamedTuple):
 
 
 def lower_bound(instance: Instance) -> Time:
-    """max(total load / m, largest job size): no schedule finishes sooner."""
+    """max(total load / m, largest job size): no schedule finishes sooner.
+    Every makespan on rational lanes is a whole number of 1/scale units, so
+    there total / m rounds up to one; sqrt(2) lanes have no such unit."""
     lanes = instance.lanes
+    largest = max(lanes.sizes)
+    if lanes.scale:
+        return lanes.time(max(-(-sum(lanes.sizes) // instance.machines), largest))
     average = total_load(instance) / instance.machines
-    largest = lanes.time(max(lanes.sizes))
     return average if largest < average else largest
 
 

@@ -118,8 +118,8 @@ def reference_verify(
 
 def deep_instance() -> Instance:
     """1,500 jobs on 7 machines: a search path deeper than Python's
-    default recursion limit of 1,000 frames, whose load bound (80464/7)
-    no integer makespan can meet."""
+    default recursion limit of 1,000 frames, whose load bound (80464/7,
+    rounded up to the whole 11495) LPT misses, at 11502."""
     rng = random.Random(1500)
     return Instance.from_sizes([rng.randint(10, 99) for _ in range(1500)], 7)
 

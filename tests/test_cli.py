@@ -139,13 +139,21 @@ def test_run_instance_file(tmp_path, capsys):
     assert "bound satisfied: yes" in out
 
 
+def test_run_instance_certified_at_a_whole_unit(tmp_path, capsys):
+    # total/m is 9/2, but every makespan is whole, so LPT's 5 needs no search
+    path = tmp_path / "jobs.txt"
+    path.write_text("m=2\n2\n3\n4\n")
+    assert main(["run", "--instance", str(path)]) == 0
+    assert "opt: 5 (certified-by-bound, 0 nodes)" in capsys.readouterr().out
+
+
 def test_run_instance_deeper_than_the_recursion_limit(tmp_path, capsys):
     path = tmp_path / "deep.txt"
     path.write_text(format_instance(deep_instance()))
     assert main(["run", "--instance", str(path), "--node-budget", "5000"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert "opt: 80464/7 (lower-bound-only, 5001 nodes)" in captured.out
+    assert "opt: 11495 (lower-bound-only, 5001 nodes)" in captured.out
 
 
 def test_run_family_without_m_is_usage_error(capsys):

@@ -355,9 +355,13 @@ def test_verify_bound_counts_undecided_trials(monkeypatch):
 
 def test_verify_bound_witness_when_no_trial_is_decided(monkeypatch):
     monkeypatch.setattr(harness, "DEFAULT_NODE_BUDGET", 0)
-    summary = verify_bound(1, seed=0)  # its one trial is left undecided
+    # seed 13's one trial puts sizes 3 4 3 4 3 on 3 machines. Its optimum,
+    # LPT's 7, is above the whole-unit bound ceil(17/3) = 6, so no
+    # certificate decides it, and with no budget the oracle keeps the bound
+    summary = verify_bound(1, seed=13)
     assert summary.undecided == 1
     assert summary.witness_report.bound_satisfied is None
+    assert summary.witness_report.opt.value == Time(6)
 
 
 def test_verify_bound_single_job_instances():

@@ -2,9 +2,10 @@
 values, Instance.from_sizes against one Job per size, instance files
 read back, the greedy kernel, its bulk placement of long runs and its
 invariants under any arrival order, the coded order search, rank/unrank,
-the exact oracle against the greedy bound, instance digests,
-verify_bound against a run of the oracle on every trial, and instances
-whose ids are not 1..n against their renumbering."""
+the exact oracle against the greedy bound, the lower bound on rational
+and sqrt(2) sizes, instance digests, verify_bound against a run of the
+oracle on every trial, and instances whose ids are not 1..n against
+their renumbering."""
 from __future__ import annotations
 
 import hashlib
@@ -20,7 +21,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_greedy, reference_render, reference_verify
+from conftest import naive_opt, reference_greedy, reference_render, reference_verify
 from listsched import harness
 from listsched.harness import instance_digest, verify_bound, worst_order_search
 from listsched.model import (
@@ -126,6 +127,9 @@ def test_time_agrees_with_a_50_digit_decimal(x, y, r, case):
     _assert_ordered(tx, ty, _order(x, y))
     _assert_ordered(tx, r, _order(x, (r, 0)))
     _assert_ordered(r, tx, _order((r, 0), x))
+    # > has its own method: it must agree with the sign of the difference
+    assert (tx > ty) == (sqrt2_sign(x[0] - y[0], x[1] - y[1]) > 0)
+    assert (tx > r) == (sqrt2_sign(x[0] - r, x[1]) > 0)
     for a, b in (x, (r, y[1]), (-x[0], x[1])):
         value = _decimal(a, b)
         assert sqrt2_sign(a, b) == (value > 0) - (value < 0)
@@ -393,6 +397,44 @@ def test_oracle_sits_between_the_load_bound_and_greedy(case):
     m = instance.machines
     assert lower_bound(instance) <= opt.value <= greedy_makespan
     assert greedy_makespan <= opt.value * (2 - Fraction(1, m))
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.fractions(Fraction(1, 6), 12, max_denominator=6), min_size=1, max_size=8
+    ),
+    st.integers(2, 4),
+)
+def test_lower_bound_is_a_whole_lane_unit_on_rational_sizes(sizes, m):
+    """Every makespan is a whole number of 1/D units, D the least common
+    denominator of the sizes, so lower_bound is one too; it stays at or
+    below the optimum, and opt_exact, which stops at it, finds that
+    optimum with the equal-load prune on and off."""
+    instance = Instance.from_sizes(sizes, m)
+    unit = lcm(*(size.denominator for size in sizes))
+    lb = lower_bound(instance)
+    assert (lb * unit).is_integer
+    assert lb >= max(sum(sizes) / m, max(sizes))
+    # the optimum by plain enumeration, on the sizes scaled to ints
+    truth = naive_opt(Instance.from_sizes([size * unit for size in sizes], m)) / unit
+    assert lb <= truth
+    for symmetry_breaking in (True, False):
+        assert opt_exact(instance, symmetry_breaking=symmetry_breaking).value == truth
+
+
+@PROPERTY
+@given(
+    st.lists(st.sampled_from(SQRT2_SIZES), max_size=7),
+    st.sampled_from(SQRT2_SIZES[6:]),
+    st.integers(2, 4),
+)
+def test_lower_bound_is_exact_on_sqrt2_sizes(sizes, irrational, m):
+    """sqrt(2) sizes have no whole unit, so lower_bound is max(total/m,
+    largest) exactly."""
+    instance = Instance.from_sizes([*sizes, irrational], m)
+    largest = max(instance.sizes)
+    assert lower_bound(instance) == max(total_load(instance) / m, largest)
 
 
 @PROPERTY
