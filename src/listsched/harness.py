@@ -13,9 +13,10 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .families import gen_class1, gen_class2
 from .model import (
@@ -64,18 +65,23 @@ REPORT_COLUMNS = (
 VERIFY_MAX_N, VERIFY_MAX_M = 12, 4  # verify's contract: the oracle always finishes
 
 
+@cache
+def _sha256() -> Callable:
+    """CPython's own sha256, found once on first use: hashlib maps OpenSSL."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256
+
+
 def instance_digest(instance: Instance) -> str:
     """Short content hash identifying an instance in reports."""
-    try:  # CPython's own sha256, loaded on first use: hashlib maps OpenSSL
-        from _sha2 import sha256  # 3.12 and later
-    except ImportError:
-        try:
-            from _sha256 import sha256
-        except ImportError:
-            from hashlib import sha256
-
     text = format_instance(instance)
-    return sha256(text.encode("utf-8")).hexdigest()[:12]
+    return _sha256()(text.encode("utf-8")).hexdigest()[:12]
 
 
 def greedy_bound(m: int) -> Fraction:
@@ -187,21 +193,26 @@ def worst_order_search(
 ) -> WorstOrderResult:
     """Find the arrival order maximizing the policy's makespan.
 
-    Orders that permute equal-size jobs among themselves are equivalent,
-    so the search walks distinct size sequences. Up to enumeration_cap of
-    them are enumerated exhaustively in lexicographic order; beyond the
-    cap, exactly enumeration_cap sequences are sampled uniformly without
-    replacement (deterministic for a fixed seed). Ties are broken toward
-    the lexicographically smallest job-id order.
+    Under the greedy kernel (Lsa, or a subclass that keeps its choose),
+    orders that permute equal-size jobs among themselves are equivalent,
+    as its choice sees only sizes and loads, so the search walks distinct
+    size sequences. Any other policy sees the Job, so it walks job-id
+    sequences. Up to enumeration_cap of them are enumerated exhaustively
+    in lexicographic order; beyond the cap, exactly enumeration_cap
+    sequences are sampled uniformly without replacement (deterministic for
+    a fixed seed). Ties are broken toward the lexicographically smallest
+    job-id order.
     """
     if enumeration_cap < 1:
         raise ValueError("enumeration_cap must be at least 1")
-    # Sizes become codes 0..k-1 in increasing order: the map is monotone,
-    # so lexicographic order, ranks and tie-breaks are those of the sizes.
+    high, m = _kernel_high(policy), instance.machines
+    # Sizes (or ids) become codes 0..k-1 in increasing order: the map is
+    # monotone, so lexicographic order, ranks and tie-breaks are theirs.
     lanes = instance.lanes
-    distinct = sorted(set(lanes.sizes))
-    code = {size: c for c, size in enumerate(distinct)}
-    codes = [code[size] for size in lanes.sizes]
+    keys = lanes.sizes if high is not None else instance.job_ids
+    distinct = sorted(set(keys))
+    code = {key: c for c, key in enumerate(distinct)}
+    codes = [code[key] for key in keys]
     pools: list[list[int]] = [[] for _ in distinct]
     for job_id, c in sorted(zip(instance.job_ids, codes)):
         pools[c].append(job_id)
@@ -226,7 +237,6 @@ def worst_order_search(
         taken = [iter(pool) for pool in pools]
         return tuple([next(taken[c]) for c in sequence])
 
-    high, m = _kernel_high(policy), instance.machines
     if high is not None:
         def makespan(sequence: Sequence[int]):
             return max(greedy(sequence, distinct, [lanes.zero] * m, high))

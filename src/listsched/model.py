@@ -350,14 +350,6 @@ def parse_time(text: str) -> Time:
 SQRT2 = Time(0, 1)
 
 
-def _restore(cls: type, values: tuple) -> "_Frozen":
-    """Rebuild a pickled or copied _Frozen from its field values."""
-    self = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(self, name, value)
-    return self
-
-
 class _Frozen:
     """Value semantics for the model's validated types, as a frozen dataclass
     gives them, without importing dataclasses at start-up.
@@ -366,9 +358,9 @@ class _Frozen:
     them with object.__setattr__ (or in __dict__). Instances compare equal
     only to instances of the same class with equal fields, hash as the
     tuple of their fields and repr as Name(field=...); no attribute can be
-    set or deleted. Pickling and copying rebuild from the field values
-    through _restore: the default path would set slots through the refused
-    __setattr__, and derived state in __dict__ need not be copied.
+    set or deleted. Pickling and copying call the constructor on the field
+    values, so every copy is checked as the original was: the default path
+    would set slots through the refused __setattr__.
     """
 
     __slots__ = ()
@@ -396,7 +388,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return _restore, (type(self), self._values())
+        return type(self), self._values()
 
 
 class Job(_Frozen):
@@ -459,41 +451,40 @@ def _check_machines(machines: object) -> None:
 class Instance(_Frozen):
     """A job list (in listed order) together with the machine count.
 
-    The jobs are held as columns: job_ids, sizes (each a Time) and lanes,
-    the sizes lowered for the greedy kernel and the oracle, in job_ids order.
-    The Job objects are built only when jobs, job() or iteration asks for
-    them. Instance(jobs, machines) takes Job objects, and keeps them.
+    The jobs are held as columns, all set when the instance is built:
+    job_ids, sizes (each a Time) and lanes, the sizes lowered for the
+    greedy kernel and the oracle, in job_ids order. The Job objects are
+    built only when jobs, job() or iteration asks for them.
+    Instance(jobs, machines) takes Job objects, and keeps them; a copy or
+    an unpickled instance is rebuilt from its jobs by that constructor.
     """
 
     __match_args__ = ("job_ids", "sizes", "machines")
     job_ids: tuple[int, ...]
     sizes: tuple[Time, ...]
     machines: int
+    lanes: Lanes
 
     def __init__(self, jobs: Iterable[Job], machines: int):
         jobs = tuple(jobs)
         ids = tuple(map(attrgetter("id"), jobs))
-        self._fill(ids, tuple(map(attrgetter("size"), jobs)), machines, jobs=jobs)
+        self._store(ids, tuple(map(attrgetter("size"), jobs)), machines)
+        self.__dict__["jobs"] = jobs
         seen = set()
         for job_id in ids:
             if job_id in seen:
                 raise ValueError(f"duplicate job id {job_id}")
             seen.add(job_id)
 
-    def _fill(self, ids: tuple, sizes: tuple, machines: int, **derived) -> None:
-        _check_machines(machines)
-        if machines > sys.maxsize:
-            raise ValueError(
-                f"machine count {machines} is past the largest list "
-                f"index {sys.maxsize}"
-            )
-        if not ids:
-            raise ValueError("an instance needs at least one job")
-        self.__dict__.update(job_ids=ids, sizes=sizes, machines=machines, **derived)
-
     @classmethod
     def from_sizes(cls, sizes: Sequence[TimeLike], machines: int) -> "Instance":
-        """Build an instance with ids 1..n assigned in listed order.
+        """Build an instance with ids 1..n assigned in listed order."""
+        self = object.__new__(cls)
+        self._store(tuple(range(1, len(sizes) + 1)), sizes, machines)
+        return self
+
+    def _store(self, ids: tuple, sizes: Sequence[TimeLike], machines: int) -> None:
+        """Check the sizes and the machine count and set every column.
 
         Families reuse a handful of sizes thousands of times, so each
         distinct size is converted, checked and lowered once; one table
@@ -509,18 +500,30 @@ class Instance(_Frozen):
             size = as_time(s)
             if not size:
                 # Job refuses it, naming the first job of that size
-                Job(sizes.index(s) + 1, size)
+                Job(ids[sizes.index(s)], size)
             table[s] = len(distinct)
             distinct.append(size)
         codes = list(map(table.__getitem__, sizes))
-        times = tuple(map(distinct.__getitem__, codes))
-        lanes = Lanes.lower(distinct, codes)
-        self = object.__new__(cls)
-        self._fill(tuple(range(1, len(sizes) + 1)), times, machines, lanes=lanes)
-        return self
+        _check_machines(machines)
+        if machines > sys.maxsize:
+            raise ValueError(
+                f"machine count {machines} is past the largest list "
+                f"index {sys.maxsize}"
+            )
+        if not ids:
+            raise ValueError("an instance needs at least one job")
+        self.__dict__.update(
+            job_ids=ids,
+            sizes=tuple(map(distinct.__getitem__, codes)),
+            machines=machines,
+            lanes=Lanes.lower(distinct, codes),
+        )
 
-    # Derived state is built on first use unless the constructor had it: a
-    # caller that keeps many instances keeps no map unused.
+    def __reduce__(self) -> tuple:
+        return type(self), (self.jobs, self.machines)
+
+    # The Job views are built on first use unless the constructor had them:
+    # a caller that keeps many instances keeps no map unused.
     @cached_property
     def jobs(self) -> tuple[Job, ...]:
         return tuple(map(Job, self.job_ids, self.sizes))
@@ -531,11 +534,6 @@ class Instance(_Frozen):
     @cached_property
     def _by_id(self) -> dict[int, Job]:
         return dict(zip(self.job_ids, self.jobs))
-
-    @cached_property
-    def lanes(self) -> Lanes:
-        """The job sizes as lane values."""
-        return Lanes.lower(self.sizes, range(len(self.sizes)))
 
     def __len__(self) -> int:
         return len(self.job_ids)

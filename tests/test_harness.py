@@ -1,6 +1,7 @@
 """Ratio reports, worst-order search, bound checking, and exports."""
 from __future__ import annotations
 
+import builtins
 import json
 import random
 from fractions import Fraction
@@ -144,6 +145,21 @@ def test_untagged_report_uses_digest_label():
     assert instance_digest(inst) != instance_digest(Instance.from_sizes([1, 2, 2], 2))
 
 
+def test_instance_digest_looks_its_sha256_up_once(monkeypatch):
+    attempts = []
+    real_import = builtins.__import__
+
+    def counted(name, *args, **kwargs):
+        if name in ("_sha2", "_sha256", "hashlib"):
+            attempts.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counted)
+    inst = Instance.from_sizes([1, 1, 2], 2)
+    assert instance_digest(inst) == instance_digest(inst)
+    assert len(attempts) <= 1
+
+
 def test_lower_bound_only_reports_are_flagged():
     inst = Instance.from_sizes([5, 7, 11, 13, 17, 19, 23], 3)
     report = competitive_ratio(inst, node_budget=3)
@@ -229,6 +245,28 @@ def test_worst_order_search_with_custom_policy():
     assert result.worst_makespan == Time(4)  # total; every order stacks up
     assert result.best_order.permutation == (1, 2, 3)
     assert result.exhaustive
+
+
+class FirstOnOne(OnlinePolicy):
+    """Job 1 goes to machine 1, every other job to a least-loaded one: the
+    rule tells equal-size jobs apart."""
+
+    name = "first-on-one"
+
+    def choose(self, loads, job=None):
+        return 1 if job.id == 1 else 1 + loads.index(min(loads))
+
+
+def test_worst_order_search_tells_equal_sizes_apart_for_a_custom_policy():
+    inst = Instance.from_sizes([1, 1], 2)
+    result = worst_order_search(inst, FirstOnOne())
+    # order (2, 1) puts job 2 on machine 1, then job 1 on top of it
+    assert run_online(inst, ArrivalOrder((2, 1)), FirstOnOne())[0].makespan == Time(2)
+    assert result.worst_makespan == Time(2)
+    assert result.best_order.permutation == (2, 1)
+    assert (result.orders_examined, result.exhaustive) == (2, True)
+    # the greedy kernel sees only sizes, so one size sequence covers both
+    assert worst_order_search(inst).orders_examined == 1
 
 
 def test_lsa_subclass_is_scored_and_searched_with_its_own_rule():

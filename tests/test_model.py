@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import errno
+import math
 import operator
 import os
 import pickle
@@ -46,6 +47,7 @@ def test_construction_and_parts():
     assert u.rational_part == Fraction(1, 2)
     assert u.sqrt2_part == Fraction(3, 4)
     assert not u.is_rational and not u.is_integer
+    assert float(Time(3, 2)) == 3 + 2 * math.sqrt(2)
     assert Time("4 + 3 r2") == Time(4, 3)
     assert Time(Time(4, 3)) == Time(4, 3)
     with pytest.raises(TypeError, match="cannot be combined"):
@@ -284,6 +286,9 @@ def test_instance_ids_in_any_order_and_their_duplicates():
     assert ArrivalOrder((1, 2, 5, 9)).covers(inst)
     with pytest.raises(ValueError, match="duplicate job id 2"):
         Instance(tuple(jobs) + (Job(2, Time(3)), Job(5, Time(1))), 2)
+    # the machine count is checked before the ids
+    with pytest.raises(ValueError, match="machine count must be >= 2, got 1"):
+        Instance((Job(1, 1), Job(1, 2)), 1)
 
 
 def _model_values() -> list:
@@ -366,8 +371,22 @@ def test_model_type_pickle_and_copy_round_trips(index):
         assert back == value and hash(back) == hash(fields)
         assert repr(back) == text
         if isinstance(value, Instance):
+            assert "lanes" in vars(back)  # set by the constructor, not on use
             assert back.lanes == lanes and back.jobs == jobs
             assert back.job(3) == value.job(3)
+
+
+def test_model_types_pickle_and_copy_through_their_constructors():
+    """A pickled or copied value is rebuilt by calling its class, so it is
+    checked again as the original was."""
+    assert Job(1, 2).__reduce__() == (Job, (1, Time(2)))
+    assert ArrivalOrder((3, 1)).__reduce__() == (ArrivalOrder, ((3, 1),))
+    jobs = (Job(2, 1), Job(1, "1/2"))
+    assert Instance(jobs, 3).__reduce__() == (Instance, (jobs, 3))
+    assert Instance.from_sizes([2, 1], 2).__reduce__() == (
+        Instance,
+        ((Job(1, 2), Job(2, 1)), 2),
+    )
 
 
 def test_from_sizes_checks_each_distinct_size_once():
@@ -407,6 +426,7 @@ def test_arrival_order_bijection():
     assert listed.permutation == (1, 2, 3)
     assert listed.covers(inst)
     assert ArrivalOrder((3, 1, 2)).covers(inst)
+    assert len(ArrivalOrder((3, 1, 2))) == 3
     assert not ArrivalOrder((1, 2)).covers(inst)
     assert not ArrivalOrder((1, 2, 2)).covers(inst)
     assert not ArrivalOrder((1, 2, 4)).covers(inst)
