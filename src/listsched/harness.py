@@ -32,7 +32,7 @@ from .multiperm import (
     permutation_count,
     unrank_permutation,
 )
-from .online import Lsa, OnlinePolicy, _kernel_high, _place, greedy, online_makespan
+from .online import Lsa, OnlinePolicy, _choose_each, _kernel_high, greedy, online_makespan
 from .oracle import DEFAULT_NODE_BUDGET, OptResult, opt_exact, opt_structured
 
 __all__ = [
@@ -242,9 +242,11 @@ def worst_order_search(
             return max(greedy(sequence, distinct, [lanes.zero] * m, high))
 
     else:
+        # each id is its own code: its Job and lane are looked up once
+        pair_of = dict(zip(codes, zip(instance, lanes.sizes)))
+
         def makespan(sequence: Sequence[int]):
-            order = ArrivalOrder(realize(sequence))
-            return max(_place(instance, order, policy, None))
+            return max(_choose_each(sequence, pair_of, instance, policy, None))
 
     best = best_ids = None
     for sequence in sequences:

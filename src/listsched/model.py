@@ -10,10 +10,10 @@ from __future__ import annotations
 import os
 import re
 import sys
-import tempfile
+from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from math import gcd, isqrt, lcm
 from operator import attrgetter
 from pathlib import Path
@@ -355,7 +355,7 @@ class _Frozen:
     gives them, without importing dataclasses at start-up.
 
     A subclass names its fields in __match_args__ and its constructor sets
-    them with object.__setattr__ (or in __dict__). Instances compare equal
+    them with object.__setattr__. Instances compare equal
     only to instances of the same class with equal fields, hash as the
     tuple of their fields and repr as Name(field=...); no attribute can be
     set or deleted. Pickling and copying call the constructor on the field
@@ -451,14 +451,17 @@ def _check_machines(machines: object) -> None:
 class Instance(_Frozen):
     """A job list (in listed order) together with the machine count.
 
-    The jobs are held as columns, all set when the instance is built:
-    job_ids, sizes (each a Time) and lanes, the sizes lowered for the
-    greedy kernel and the oracle, in job_ids order. The Job objects are
-    built only when jobs, job() or iteration asks for them.
-    Instance(jobs, machines) takes Job objects, and keeps them; a copy or
-    an unpickled instance is rebuilt from its jobs by that constructor.
+    An instance is exactly four columns, all set when it is built: job_ids,
+    sizes (each a Time), machines, and lanes, the sizes lowered for the
+    greedy kernel and the oracle, in job_ids order; on sqrt(2) lanes sizes
+    is the lane tuple itself. Nothing is cached later: jobs, job() and
+    iteration build Job views from the columns on each call.
+    Instance(jobs, machines) takes Job objects and keeps only their
+    columns; a copy or an unpickled instance is rebuilt by that
+    constructor from its jobs.
     """
 
+    __slots__ = ("job_ids", "sizes", "machines", "lanes")
     __match_args__ = ("job_ids", "sizes", "machines")
     job_ids: tuple[int, ...]
     sizes: tuple[Time, ...]
@@ -469,7 +472,6 @@ class Instance(_Frozen):
         jobs = tuple(jobs)
         ids = tuple(map(attrgetter("id"), jobs))
         self._store(ids, tuple(map(attrgetter("size"), jobs)), machines)
-        self.__dict__["jobs"] = jobs
         seen = set()
         for job_id in ids:
             if job_id in seen:
@@ -484,26 +486,27 @@ class Instance(_Frozen):
         return self
 
     def _store(self, ids: tuple, sizes: Sequence[TimeLike], machines: int) -> None:
-        """Check the sizes and the machine count and set every column.
+        """Check the sizes and the machine count and set the four columns.
 
         Families reuse a handful of sizes thousands of times, so each
-        distinct size is converted, checked and lowered once; one table
-        lookup per job gives the index of both its Time and its lane value.
+        distinct size is converted, checked and lowered once. One pass over
+        a size table codes every job, hashing each size once: a missing
+        size is entered with the next code, the table's own length.
         """
         # a float equal to an exact size before it would pass as that size
         if not all(issubclass(kind, _EXACT) for kind in set(map(type, sizes))):
             bad = next(s for s in sizes if not isinstance(s, _EXACT))
             raise TypeError(f"not an exact rational: {bad!r}")
-        table = dict.fromkeys(sizes)
+        table = defaultdict()
+        table.default_factory = table.__len__
+        codes = list(map(table.__getitem__, sizes))
         distinct = []
         for s in table:
             size = as_time(s)
             if not size:
                 # Job refuses it, naming the first job of that size
                 Job(ids[sizes.index(s)], size)
-            table[s] = len(distinct)
             distinct.append(size)
-        codes = list(map(table.__getitem__, sizes))
         _check_machines(machines)
         if machines > sys.maxsize:
             raise ValueError(
@@ -512,34 +515,31 @@ class Instance(_Frozen):
             )
         if not ids:
             raise ValueError("an instance needs at least one job")
-        self.__dict__.update(
-            job_ids=ids,
-            sizes=tuple(map(distinct.__getitem__, codes)),
-            machines=machines,
-            lanes=Lanes.lower(distinct, codes),
-        )
+        lanes = Lanes.lower(distinct, codes)
+        # on sqrt(2) lanes the lane column is the Time column
+        sizes = tuple(map(distinct.__getitem__, codes)) if lanes.scale else lanes.sizes
+        for name, value in zip(self.__slots__, (ids, sizes, machines, lanes)):
+            object.__setattr__(self, name, value)
 
     def __reduce__(self) -> tuple:
         return type(self), (self.jobs, self.machines)
 
-    # The Job views are built on first use unless the constructor had them:
-    # a caller that keeps many instances keeps no map unused.
-    @cached_property
+    @property
     def jobs(self) -> tuple[Job, ...]:
         return tuple(map(Job, self.job_ids, self.sizes))
 
     def job(self, job_id: int) -> Job:
-        return self._by_id[job_id]
-
-    @cached_property
-    def _by_id(self) -> dict[int, Job]:
-        return dict(zip(self.job_ids, self.jobs))
+        try:
+            k = self.job_ids.index(job_id)
+        except ValueError:
+            raise KeyError(job_id) from None
+        return Job(self.job_ids[k], self.sizes[k])
 
     def __len__(self) -> int:
         return len(self.job_ids)
 
     def __iter__(self) -> Iterator[Job]:
-        return iter(self.jobs)
+        return map(Job, self.job_ids, self.sizes)
 
 
 class ArrivalOrder(_Frozen):
@@ -683,20 +683,16 @@ def save_instance(instance: Instance, path: Union[str, Path]) -> None:
 
 
 def _write_atomic(destination: Path, text: str) -> None:
-    """Write text to destination through a uniquely named temporary file in
-    the same directory, renamed into place: a failed write leaves neither a
-    partial file nor the temporary one, and concurrent writers never share
-    a temporary file."""
+    """Write text to destination through a temporary file in the same
+    directory, renamed into place: a failed write leaves neither a partial
+    file nor the temporary one. The temporary file has a random name and is
+    created exclusively, so concurrent writers never share one, and it has
+    the mode open() gives a new file under the process umask."""
+    tmp = destination.parent / f".{destination.name}.{os.urandom(8).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=destination.parent, prefix=f".{destination.name}.", suffix=".tmp"
-        )
+        out = open(tmp, "x", encoding="utf-8")
         try:
-            with open(fd, "w", encoding="utf-8") as out:
-                # mkstemp makes the file 0600; give it the mode open() would
-                umask = os.umask(0)
-                os.umask(umask)
-                os.fchmod(fd, 0o666 & ~umask)
+            with out:
                 out.write(text)
             os.replace(tmp, destination)
         except BaseException:

@@ -230,24 +230,32 @@ def _place(instance, order, policy, steps) -> list:
     """Final loads and steps in lane values; a policy's choose sees Time loads."""
     if not order.covers(instance):
         raise ValueError("arrival order is not a permutation of the instance's jobs")
-    m = instance.machines
-    lanes = instance.lanes
-    size_of = dict(zip(instance.job_ids, lanes.sizes))
-    loads = [lanes.zero] * m
+    m, lanes = instance.machines, instance.lanes
     high = _kernel_high(policy)
-    if high is not None:
-        return greedy(order.permutation, size_of, loads, high, steps)
-    times = [Time(0)] * m  # loads as Time, converted once per placement
-    for job_id in order.permutation:
-        machine = policy.choose(tuple(times), instance.job(job_id))
+    if high is None:
+        pair_of = dict(zip(instance.job_ids, zip(instance, lanes.sizes)))
+        return _choose_each(order.permutation, pair_of, instance, policy, steps)
+    size_of = dict(zip(instance.job_ids, lanes.sizes))
+    return greedy(order.permutation, size_of, [lanes.zero] * m, high, steps)
+
+
+def _choose_each(order, pair_of, instance, policy, steps) -> list:
+    """Final lane loads after policy.choose places each item of order in
+    turn; pair_of[item] is the item's (Job, lane size) pair, and choose sees
+    the loads as Time, converted once per placement."""
+    m, lanes = instance.machines, instance.lanes
+    loads = [lanes.zero] * m
+    times = [Time(0)] * m
+    for job, size in map(pair_of.__getitem__, order):
+        machine = policy.choose(tuple(times), job)
         if not isinstance(machine, int) or not 1 <= machine <= m:
             raise RuntimeError(
                 f"policy {policy.name} chose invalid machine {machine!r}"
             )
-        load = loads[machine - 1] + size_of[job_id]
+        load = loads[machine - 1] + size
         loads[machine - 1], times[machine - 1] = load, lanes.time(load)
         if steps is not None:
-            steps.append((job_id, machine, load))
+            steps.append((job.id, machine, load))
     return loads
 
 

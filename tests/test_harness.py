@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import builtins
 import json
+import operator
+import os
 import random
+import stat
 from fractions import Fraction
 from itertools import permutations
 
@@ -27,7 +30,7 @@ from listsched.harness import (
 )
 from listsched.model import ArrivalOrder, Instance, Job, Time
 from listsched.online import Lsa, OnlinePolicy, online_makespan, run_online
-from listsched.oracle import OPT_CERTIFIED, lower_bound
+from listsched.oracle import OPT_CERTIFIED, lower_bound, opt_exact
 
 TABLE2_EXPECTED = {
     2: ("1.0000", "1.2500"),
@@ -122,7 +125,6 @@ def test_scoring_a_family_builds_no_job(monkeypatch):
     assert report.ratio_4dp == "1.0322"
     # the instance's columns and lanes serve the greedy run and the oracle
     assert built == []
-    assert "jobs" not in vars(family.instance)
 
 
 def test_exact_optimum_below_the_greedy_makespan_is_an_invariant_violation(monkeypatch):
@@ -284,6 +286,64 @@ def test_lsa_subclass_is_scored_and_searched_with_its_own_rule():
     assert result.worst_makespan == worst
     assert result.best_order.permutation == orders[values.index(worst)]
     assert worst != worst_order_search(inst).worst_makespan
+
+
+def test_custom_policy_search_builds_each_job_once_and_checks_no_order(monkeypatch):
+    """A custom policy's search looks each Job and lane up once, then feeds
+    every order to the policy as those pairs, with no ArrivalOrder or
+    permutation check per order."""
+    inst = Instance.from_sizes([1, 2, 2, 3, 5], 2)
+    orders = sorted(permutations(inst.job_ids))
+    values = [run_online(inst, ArrivalOrder(ids), Fill())[0].makespan for ids in orders]
+    worst = max(values)
+    built, checked = [], []
+    init, covers = Job.__init__, ArrivalOrder.covers
+
+    def counted_init(job, id, size):
+        built.append(id)
+        init(job, id, size)
+
+    def counted_covers(order, instance):
+        checked.append(order)
+        return covers(order, instance)
+
+    monkeypatch.setattr(Job, "__init__", counted_init)
+    monkeypatch.setattr(ArrivalOrder, "covers", counted_covers)
+    results = {}
+    for policy in (Fill(), FillLsa(), StackFirst(), FirstOnOne()):
+        for cap, seed in ((10**6, 0), (7, 3)):
+            built.clear()
+            results[policy, cap] = worst_order_search(inst, policy, cap, seed)
+            assert sorted(built) == list(inst.job_ids)
+    assert checked == []
+    monkeypatch.undo()
+    for (policy, cap), result in results.items():
+        assert result.orders_examined == min(cap, 120)
+        schedule, _ = run_online(inst, result.best_order, policy)
+        assert schedule.makespan == result.worst_makespan
+        if result.exhaustive and policy.name == "fill":
+            assert result.worst_makespan == worst
+            assert result.best_order.permutation == orders[values.index(worst)]
+
+
+@pytest.mark.parametrize("sizes", [[3, Fraction(1, 2), 3, 2], [1, Time(1, 1), 1, "1/2"]])
+def test_an_instance_is_its_four_columns_before_and_after_use(sizes):
+    inst = Instance.from_sizes(sizes, 2)
+    assert Instance.__slots__ == ("job_ids", "sizes", "machines", "lanes")
+    assert not hasattr(inst, "__dict__")
+    before = [getattr(inst, name) for name in Instance.__slots__]
+    assert inst.jobs == tuple(inst) == tuple(map(inst.job, inst.job_ids))
+    with pytest.raises(KeyError):
+        inst.job(99)
+    order = ArrivalOrder((4, 2, 1, 3))
+    for policy in (Lsa(), Fill()):
+        run_online(inst, order, policy)
+        worst_order_search(inst, policy)
+    opt_exact(inst)
+    competitive_ratio(inst, order)
+    after = [getattr(inst, name) for name in Instance.__slots__]
+    assert all(map(operator.is_, after, before))
+    assert not hasattr(inst, "__dict__")
 
 
 class Named(Lsa):
@@ -488,6 +548,31 @@ def test_atomic_write_failure_leaves_no_partial_or_temp_file(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text("")
     assert out.stat().st_mode == plain.stat().st_mode  # same mode as open()
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    """Reading the umask means setting it for a moment, when a file that
+    another thread creates would get the wrong mode: the writer never does."""
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    out = tmp_path / "report.csv"
+    _write_atomic(out, "m,family\n")
+    assert out.read_text() == "m,family\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_atomic_write_mode_follows_a_strict_umask(tmp_path):
+    out, plain = tmp_path / "report.csv", tmp_path / "plain.txt"
+    old = os.umask(0o077)
+    try:
+        _write_atomic(out, "m,family\n")
+        plain.write_text("")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o600
 
 
 def test_export_long_csv(tmp_path):

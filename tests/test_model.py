@@ -4,7 +4,6 @@ from __future__ import annotations
 import copy
 import errno
 import math
-import operator
 import os
 import pickle
 import random
@@ -280,9 +279,9 @@ def test_instance_ids_in_any_order_and_their_duplicates():
     inst = Instance(tuple(jobs), 2)
     assert inst.job_ids == (5, 2, 9, 1)
     assert inst.sizes == (Time(5), Time(2), Time(9), Time(1))
-    # the Job objects given are the ones the instance hands out
-    assert all(map(operator.is_, inst.jobs, jobs))
-    assert inst.job(9) is jobs[2]
+    # the instance keeps the columns of the Job objects given, not the Jobs
+    assert inst.jobs == tuple(jobs)
+    assert inst.job(9) == jobs[2]
     assert ArrivalOrder((1, 2, 5, 9)).covers(inst)
     with pytest.raises(ValueError, match="duplicate job id 2"):
         Instance(tuple(jobs) + (Job(2, Time(3)), Job(5, Time(1))), 2)
@@ -360,7 +359,7 @@ def test_model_type_attributes_cannot_be_set_or_deleted(index):
 @pytest.mark.parametrize("index", range(len(MODEL_TYPES)))
 def test_model_type_pickle_and_copy_round_trips(index):
     value, _, fields, text = _model_values()[index]
-    if isinstance(value, Instance):  # derived state cached before the copy
+    if isinstance(value, Instance):  # the lanes and the Job views before the copy
         lanes, jobs = value.lanes, value.jobs
     for back in (
         pickle.loads(pickle.dumps(value)),
@@ -371,8 +370,8 @@ def test_model_type_pickle_and_copy_round_trips(index):
         assert back == value and hash(back) == hash(fields)
         assert repr(back) == text
         if isinstance(value, Instance):
-            assert "lanes" in vars(back)  # set by the constructor, not on use
-            assert back.lanes == lanes and back.jobs == jobs
+            assert back.lanes == lanes  # lowered by the constructor
+            assert back.jobs == jobs
             assert back.job(3) == value.job(3)
 
 
@@ -387,6 +386,42 @@ def test_model_types_pickle_and_copy_through_their_constructors():
         Instance,
         ((Job(1, 2), Job(2, 1)), 2),
     )
+
+
+@pytest.mark.parametrize("sqrt2", [False, True])
+def test_from_sizes_hashes_each_size_once(monkeypatch, sqrt2):
+    """One pass over the size table codes every job: n lookups, and one
+    more hash for each of the k distinct sizes as it is entered."""
+    rng = random.Random(20)
+    values = [Time(Fraction(k, 7)) for k in range(1, 60)]
+    values += [Time(k, 1) for k in range(1, 60)] if sqrt2 else [Time(k) for k in range(60, 120)]
+    sizes = [rng.choice(values) for _ in range(500)]
+    distinct = len(set(sizes))
+    calls = []
+    original = Time.__hash__
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+
+    jobs = tuple(map(Job, range(500), sizes))
+    monkeypatch.setattr(Time, "__hash__", counted)
+    for build in (lambda: Instance.from_sizes(sizes, 3), lambda: Instance(jobs, 3)):
+        calls.clear()
+        assert build().sizes == tuple(sizes)
+        assert len(calls) == len(sizes) + distinct
+
+
+def test_sqrt2_sizes_are_the_lane_column():
+    for inst in (
+        Instance.from_sizes([1, Time(1, 1), "1/2", Time(1, 1)], 2),
+        Instance((Job(4, Time(1, 1)), Job(2, 1)), 2),
+    ):
+        assert inst.lanes.scale == 0
+        assert inst.sizes is inst.lanes.sizes
+    rational = Instance.from_sizes([1, "1/2", 1], 2)
+    assert rational.sizes == (Time(1), Time(Fraction(1, 2)), Time(1))
+    assert rational.lanes.sizes == (2, 1, 2)
 
 
 def test_from_sizes_checks_each_distinct_size_once():
@@ -729,7 +764,7 @@ def test_failed_save_instance_leaves_old_file_and_no_temp(tmp_path, monkeypatch)
 
 
 def test_failed_save_instance_names_the_destination_not_the_temp_file(tmp_path):
-    # mkstemp fails here: the parent "directory" is a file
+    # the temporary file cannot be created: the parent "directory" is a file
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     path = blocker / "inst.txt"
