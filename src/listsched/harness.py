@@ -33,7 +33,7 @@ from .multiperm import (
     unrank_permutation,
 )
 from .online import Lsa, OnlinePolicy, _choose_each, _kernel_high, greedy, online_makespan
-from .oracle import DEFAULT_NODE_BUDGET, OptResult, opt_exact, opt_structured
+from .oracle import DEFAULT_NODE_BUDGET, OptResult, graham_bracket, opt_exact, opt_structured
 
 __all__ = [
     "RatioReport",
@@ -331,15 +331,13 @@ def verify_bound(
     """Check the 2 - 1/m guarantee on random instances and random orders.
 
     Instance sizes stay small (the contract caps n at 12 and m at 4) so the
-    exact oracle always finishes. Under the greedy kernel each trial is
-    decided on its int sizes by Graham's certificate: the job that ends
-    last starts by (total - its size)/m, so lb <= alg <= (2 - 1/m) lb for
-    lb = max(total/m, largest size); a run outside that range raises
-    RuntimeError. As opt is a whole number of at least lb, only a trial
-    whose alg/ceil(lb) exceeds the largest decided ratio so far can
-    replace the witness, and only it reaches the oracle. Any other policy
-    runs the oracle on every trial. A trial whose ratio exceeds the bound
-    raises BoundViolation with the serialized counterexample.
+    exact oracle always finishes. Under the greedy kernel a run outside
+    Graham's bracket [lb, ub] of its int sizes (oracle.graham_bracket)
+    raises RuntimeError, and as opt >= lb only a trial whose alg/lb beats
+    the largest decided ratio so far can replace the witness and reach the
+    oracle. Any other policy runs the oracle on every trial. A trial whose
+    ratio exceeds the bound raises BoundViolation with the serialized
+    counterexample.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -364,14 +362,14 @@ def verify_bound(
         rng.shuffle(ids)
         if high is not None:
             alg = max(greedy(ids, (0, *sizes), [0] * m, high))
-            top = max(sum(sizes), m * max(sizes))  # lb = top/m
-            if not (top <= m * alg and m * m * alg <= (2 * m - 1) * top):
+            lb, ub = graham_bracket(sizes, m)
+            if not lb <= alg <= ub:
                 raise RuntimeError(
                     f"greedy makespan {alg} on m={m} is outside Graham's "
-                    f"range for sizes {sizes} in order {ids}"
+                    f"bracket [{lb}, {ub}] for sizes {sizes} in order {ids}"
                 )
-            # ratio <= alg / ceil(lb), as opt is a whole number >= lb
-            if alg * q <= p * -(-top // m):
+            # ratio <= alg / lb, as opt is a whole number >= lb
+            if alg * q <= p * lb:
                 continue
         instance = Instance.from_sizes(sizes, m)
         report = competitive_ratio(instance, ArrivalOrder(tuple(ids)), policy)

@@ -685,10 +685,11 @@ def save_instance(instance: Instance, path: Union[str, Path]) -> None:
 def _write_atomic(destination: Path, text: str) -> None:
     """Write text to destination through a temporary file in the same
     directory, renamed into place: a failed write leaves neither a partial
-    file nor the temporary one. The temporary file has a random name and is
-    created exclusively, so concurrent writers never share one, and it has
-    the mode open() gives a new file under the process umask."""
-    tmp = destination.parent / f".{destination.name}.{os.urandom(8).hex()}.tmp"
+    file nor the temporary one. The temporary file has a random name of
+    fixed length, so any valid destination name can be written, and is
+    created exclusively, so concurrent writers never share one; it has the
+    mode open() gives a new file under the process umask."""
+    tmp = destination.parent / f".{os.urandom(8).hex()}.tmp"
     try:
         out = open(tmp, "x", encoding="utf-8")
         try:

@@ -2,15 +2,15 @@
 
 Minimizing makespan on identical machines is NP-hard, so the exact solver
 is branch and bound over job-to-machine assignments, jobs largest first,
-seeded with the LPT schedule as incumbent. A schedule that meets
-lower_bound is provably optimal, so common cases are instant;
+seeded with the LPT schedule as incumbent. A schedule that meets Graham's
+lower bound is provably optimal, so common cases are instant;
 the structured families also have closed-form optima (opt_structured).
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .model import ArrivalOrder, Instance, Schedule, Time, _check_machines, total_load
+from .model import ArrivalOrder, Instance, Schedule, Time, _check_machines
 from .online import greedy, run_online
 
 __all__ = [
@@ -50,16 +50,21 @@ class OptResult(NamedTuple):
         return self.kind != OPT_LOWER_BOUND_ONLY
 
 
+def graham_bracket(sizes: Sequence, m: int) -> tuple:
+    """Graham's bracket (lb, ub) on a lane column: every schedule ends at or
+    after lb = max(total/m, largest); a list schedule's last job starts by
+    (total - its size)/m, so it ends by ub = (total - largest)/m + largest.
+    Int lanes round lb up and ub down (every makespan there is whole)."""
+    total, largest = sum(sizes), max(sizes)
+    if isinstance(largest, int):
+        return max(-(-total // m), largest), (total - largest) // m + largest
+    return max(largest, total / m), (total - largest) / m + largest
+
+
 def lower_bound(instance: Instance) -> Time:
-    """max(total load / m, largest job size): no schedule finishes sooner.
-    Every makespan on rational lanes is a whole number of 1/scale units, so
-    there total / m rounds up to one; sqrt(2) lanes have no such unit."""
+    """Graham's lb: no schedule of the instance finishes sooner."""
     lanes = instance.lanes
-    largest = max(lanes.sizes)
-    if lanes.scale:
-        return lanes.time(max(-(-sum(lanes.sizes) // instance.machines), largest))
-    average = total_load(instance) / instance.machines
-    return average if largest < average else largest
+    return lanes.time(graham_bracket(lanes.sizes, instance.machines)[0])
 
 
 def lpt_order(instance: Instance) -> ArrivalOrder:
@@ -145,8 +150,7 @@ def opt_exact(
             # every machine tried for job i: reset it and backtrack
             next_machine[i] = 0
             i -= 1
-    kind = OPT_CERTIFIED if best == lb else OPT_EXACT
-    return OptResult(best, kind, nodes)
+    return OptResult(best, OPT_CERTIFIED if best == lb else OPT_EXACT, nodes)
 
 
 def opt_structured(family: str, m: int) -> Time:

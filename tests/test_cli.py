@@ -537,17 +537,21 @@ def test_verify_exits_1_when_the_bound_fails(monkeypatch, capsys):
     assert "exceeds bound 0.5000" in captured.err
 
 
-@pytest.mark.parametrize("shift", [lambda load: load + 100, lambda load: 0])
+# the third run ends one unit past ub = (total - largest)/m + largest on
+# the first trial at seed 2, yet stays below (2 - 1/m) lb
+@pytest.mark.parametrize(
+    "shift", [lambda load: load + 100, lambda load: 0, lambda load: load + 1]
+)
 def test_verify_with_a_broken_kernel_is_an_invariant_violation(shift, monkeypatch, capsys):
-    """A greedy run outside Graham's range [lb, (2 - 1/m) lb] is a kernel
-    bug, not a counterexample to the bound."""
+    """A greedy run outside Graham's bracket [lb, ub] is a kernel bug, not
+    a counterexample to the bound."""
     real = harness.greedy
 
     def broken(order, size_of, loads, high=False, steps=None):
         return [shift(load) for load in real(order, size_of, loads, high, steps)]
 
     monkeypatch.setattr(harness, "greedy", broken)
-    assert main(["verify", "--trials", "5"]) == 1
+    assert main(["verify", "--trials", "1", "--seed", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invariant violated: greedy makespan ")
@@ -719,6 +723,17 @@ def test_output_written_to_file(tmp_path, capsys):
     assert main(["table2", "--machines", "2", "--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == "m,class1_ratio,class2_ratio\n2,1.0000,1.2500\n"
+
+
+def test_output_to_a_255_byte_file_name(tmp_path, capsys):
+    """The temporary file's name does not grow with the destination's, so
+    a name at the usual 255-byte limit is written like any other."""
+    target = tmp_path / ("t" * 251 + ".csv")
+    assert len(os.fsencode(target.name)) == 255
+    assert main(["table2", "--machines", "2", "--output", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_text() == "m,class1_ratio,class2_ratio\n2,1.0000,1.2500\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_failed_output_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, capsys):

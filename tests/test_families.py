@@ -18,7 +18,7 @@ from listsched.families import (
 )
 from listsched.model import Time, load_instance
 from listsched.online import Lsa, online_makespan, run_online
-from listsched.oracle import opt_exact
+from listsched.oracle import graham_bracket, opt_exact
 
 
 def test_job_counts():
@@ -28,6 +28,25 @@ def test_job_counts():
         assert len(gen_graham_tight(m).instance) == m * (m - 1) + 1
     for m in range(4, 31):
         assert len(gen_faigle(m).instance) == 2 * m + 1
+
+
+def test_graham_bracket_gives_every_familys_predictions():
+    """On each family at every m up to 100, Graham's bracket (lb, ub) of
+    the lane column is the predicted optimum and the predicted greedy
+    makespan, which greedy meets on the listed order. So ub/lb gives the
+    paper's bounds: 2 - 2/m on class1, 2 - (m^2 - m + 1)/m^2 on class2."""
+    for m in range(2, 101):
+        for gen in (gen_class1, gen_class2, gen_graham_tight, gen_faigle):
+            fam = gen(m)
+            lanes = fam.instance.lanes
+            lb, ub = map(lanes.time, graham_bracket(lanes.sizes, m))
+            assert lb == fam.predicted_opt, (fam.family_tag, m)
+            assert ub == fam.predicted_lsa, (fam.family_tag, m)
+            assert ub == online_makespan(fam.instance, fam.worst_order), (fam.family_tag, m)
+            if gen is gen_class1:
+                assert ub / lb == 2 - Fraction(2, m)
+            elif gen is gen_class2:
+                assert ub / lb == 2 - Fraction(m * m - m + 1, m * m)
 
 
 def test_small_machine_counts_rejected():

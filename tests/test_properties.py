@@ -2,10 +2,10 @@
 values, Instance.from_sizes against one Job per size, instance files
 read back, the greedy kernel, its bulk placement of long runs and its
 invariants under any arrival order, the coded order search, rank/unrank,
-the exact oracle against the greedy bound, the lower bound on rational
-and sqrt(2) sizes, instance digests, verify_bound against a run of the
-oracle on every trial, and instances whose ids are not 1..n against
-their renumbering."""
+the exact oracle against the greedy bound, the lower bound and Graham's
+bracket on int, rational and sqrt(2) sizes, instance digests,
+verify_bound against a run of the oracle on every trial, and instances
+whose ids are not 1..n against their renumbering."""
 from __future__ import annotations
 
 import hashlib
@@ -51,7 +51,13 @@ from listsched.online import (
     run_online,
     trace_jsonl,
 )
-from listsched.oracle import lower_bound, lpt_order, opt_exact
+from listsched.oracle import (
+    graham_bracket,
+    lower_bound,
+    lpt_makespan,
+    lpt_order,
+    opt_exact,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -398,28 +404,52 @@ def test_oracle_sits_between_the_load_bound_and_greedy(case):
     assert greedy_makespan <= opt.value * (2 - Fraction(1, m))
 
 
+def _assert_in_graham_bracket(instance: Instance, order: ArrivalOrder) -> None:
+    """lb <= opt <= LPT <= ub, and lb <= greedy <= ub under both tie-breaks,
+    in lane units, for Graham's bracket of the instance's lane column; and
+    lower_bound is its lb."""
+    lanes = instance.lanes
+    lb, ub = graham_bracket(lanes.sizes, instance.machines)
+    assert lower_bound(instance) == lanes.time(lb)
+
+    def lane(makespan: Time):
+        return makespan * lanes.scale if lanes.scale else makespan
+
+    lpt, _ = lpt_makespan(instance)
+    assert lb <= lane(opt_exact(instance).value) <= lane(lpt) <= ub
+    for tie_break in ("low", "high"):
+        assert lb <= lane(online_makespan(instance, order, Lsa(tie_break))) <= ub
+
+
 @PROPERTY
 @given(
-    st.lists(
-        st.fractions(Fraction(1, 6), 12, max_denominator=6), min_size=1, max_size=8
+    st.one_of(
+        st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        st.lists(
+            st.fractions(Fraction(1, 6), 12, max_denominator=6), min_size=1, max_size=8
+        ),
     ),
     st.integers(2, 4),
+    st.data(),
 )
-def test_lower_bound_is_a_whole_lane_unit_on_rational_sizes(sizes, m):
+def test_lower_bound_is_a_whole_lane_unit_on_rational_sizes(sizes, m, data):
     """Every makespan is a whole number of 1/D units, D the least common
     denominator of the sizes, so lower_bound is one too; it stays at or
     below the optimum, and opt_exact, which stops at it, finds that
-    optimum with the equal-load prune on and off."""
+    optimum with the equal-load prune on and off. Graham's bracket, in
+    whole lane units, holds the optimum, LPT and greedy in any order."""
     instance = Instance.from_sizes(sizes, m)
     unit = lcm(*(size.denominator for size in sizes))
     lb = lower_bound(instance)
     assert (lb * unit).is_integer
-    assert lb >= max(sum(sizes) / m, max(sizes))
+    assert lb >= max(Fraction(sum(sizes)) / m, max(sizes))
     # the optimum by plain enumeration, on the sizes scaled to ints
     truth = naive_opt(Instance.from_sizes([size * unit for size in sizes], m)) / unit
     assert lb <= truth
     for symmetry_breaking in (True, False):
         assert opt_exact(instance, symmetry_breaking=symmetry_breaking).value == truth
+    order = ArrivalOrder(tuple(data.draw(st.permutations(instance.job_ids))))
+    _assert_in_graham_bracket(instance, order)
 
 
 @PROPERTY
@@ -427,13 +457,16 @@ def test_lower_bound_is_a_whole_lane_unit_on_rational_sizes(sizes, m):
     st.lists(st.sampled_from(SQRT2_SIZES), max_size=7),
     st.sampled_from(SQRT2_SIZES[6:]),
     st.integers(2, 4),
+    st.data(),
 )
-def test_lower_bound_is_exact_on_sqrt2_sizes(sizes, irrational, m):
+def test_lower_bound_is_exact_on_sqrt2_sizes(sizes, irrational, m, data):
     """sqrt(2) sizes have no whole unit, so lower_bound is max(total/m,
-    largest) exactly."""
+    largest) exactly, and Graham's bracket divides exactly too."""
     instance = Instance.from_sizes([*sizes, irrational], m)
     largest = max(instance.sizes)
     assert lower_bound(instance) == max(total_load(instance) / m, largest)
+    order = ArrivalOrder(tuple(data.draw(st.permutations(instance.job_ids))))
+    _assert_in_graham_bracket(instance, order)
 
 
 @PROPERTY
