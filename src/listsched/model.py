@@ -234,16 +234,8 @@ class Time:
         a, b, d = self._a, self._b, self._d
         if b:
             return hash((a, b, d))
-        # a rational value hashes as the equal int or Fraction does, by
-        # Fraction's rule on the reduced pair but with no Fraction built
-        if d == 1:
-            return hash(a)
-        try:
-            h = hash(hash(abs(a)) * pow(d, -1, sys.hash_info.modulus))
-        except ValueError:  # d is a multiple of the modulus: no inverse
-            h = sys.hash_info.inf
-        h = h if a >= 0 else -h
-        return -2 if h == -1 else h
+        # a rational value hashes as the equal int or Fraction does
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0

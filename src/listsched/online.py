@@ -76,35 +76,29 @@ def _water_fill(heap: list, size: int, count: int) -> list:
     """The heap after count items of one size went, each in turn, to its
     least (load, key) entry.
 
-    Machine j offers a slot at every level load_j + t*size, and the items
-    take the count least slots in (level, key) order. So with X the
-    largest level that leaves at most count slots below it, each machine
-    fills every slot below X, and the items left over take the slots at
-    exactly X, lowest key first.
+    Write each load as q*size + r with 0 <= r < size; sorting the entries
+    sorts them by q too. Machine j offers a slot at every level
+    load_j + t*size (t >= 0), which sorts by (q_j + t, r_j, key_j), and
+    the items take the count least slots. So they fill whole bands, lowest
+    first, where band b holds one slot of each machine with q <= b.
+    Raising the k least machines to band b takes k*b - (q_1 + ... + q_k)
+    items, so they reach band b = (count + q_1 + ... + q_k) // k and stop
+    there when b is at most q_{k+1}: no other machine has a slot below b
+    (and b >= q_k, as the walk did not stop at k - 1). Each machine below
+    band b is raised to b*size + r, and the count + sum q - k*b items left
+    over, fewer than k, take the slots of band b in (r, key) order: the
+    least entries once raised.
     """
-
-    def below(level: int) -> int:
-        return sum(-((load - level) // size) for load, _ in heap if load < level)
-
-    # below(lo) = 0 <= count < below(hi): each machine has count//m + 1
-    # slots below hi
-    lo = heap[0][0]
-    hi = max(heap)[0] + count // len(heap) * size + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid) <= count:
-            lo = mid
-        else:
-            hi = mid
-    spare = count - below(lo)
-    filled = sorted(
-        (load - (load - lo) // size * size if load < lo else load, key)
-        for load, key in heap
-    )
-    # no filled load is below lo, so the slots at lo come first, in key order
-    for j in range(spare):
-        load, key = filled[j]
-        filled[j] = (load + size, key)
+    entries = sorted(heap)
+    reach = count
+    for k, (load, _) in enumerate(entries, 1):
+        reach += load // size
+        band = reach // k
+        if k == len(entries) or band <= entries[k][0] // size:
+            break
+    filled = sorted((max(load, band * size + load % size), key) for load, key in entries)
+    spare = reach - k * band
+    filled[:spare] = [(load + size, key) for load, key in filled[:spare]]
     heapify(filled)
     return filled
 

@@ -814,3 +814,22 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     loaded = set(proc.stdout.split())
     assert "listsched.model" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_verify_digests_without_loading_openssl():
+    # hashlib loads _hashlib, OpenSSL's binding, which adds megabytes to a
+    # run's peak memory; verify's witness label needs only CPython's sha256
+    code = (
+        "import sys; from listsched.cli import main; "
+        "main(['verify', '--trials', '5']); "
+        "print('_hashlib' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=Path(listsched.__file__).parents[1],
+    )
+    assert "witness" in proc.stdout
+    assert proc.stderr == "False\n"
