@@ -33,7 +33,7 @@ from .harness import (
     verify_bound,
     worst_order_search,
 )
-from .model import Instance, _check_machines, _parse_int, _write_atomic, format_time
+from .model import Instance, _check_count, _parse_int, _write_atomic, format_time
 from .model import _SPACE, load_instance
 from .online import Lsa
 
@@ -52,7 +52,7 @@ def _int(text: str) -> int:
 def _machine_count(text: str) -> int:
     value = _int(text)
     try:
-        _check_machines(value)
+        _check_count("machine count", value, 2)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value

@@ -17,7 +17,7 @@ from .model import (
     ArrivalOrder,
     Instance,
     Time,
-    _check_machines,
+    _check_count,
     _write_atomic,
     format_instance,
     format_time,
@@ -84,7 +84,7 @@ def gen_class1(m: int) -> GeneratedFamily:
     m-2, then the big job lands on a least-loaded machine: makespan 2m-2.
     The optimum parks the big job alone and balances the units: m.
     """
-    _check_machines(m)
+    _check_count("machine count", m, 2)
     runs = [((m - 1) * (m - 1), 1), (1, m)]
     return _listed(runs, m, "class1", Time(2 * m - 2), Time(m))
 
@@ -95,7 +95,7 @@ def gen_class2(m: int) -> GeneratedFamily:
     Greedy balances the units to m-1 per machine before the big job:
     makespan m-1+m^2. The optimum is m^2 (big job alone, units at m each).
     """
-    _check_machines(m)
+    _check_count("machine count", m, 2)
     runs = [(m * (m - 1), 1), (1, m * m)]
     return _listed(runs, m, "class2", Time(m - 1 + m * m), Time(m * m))
 
@@ -106,7 +106,7 @@ def gen_graham_tight(m: int) -> GeneratedFamily:
     Greedy loads every machine to m-1, then adds m: makespan 2m-1 against
     an optimum of m, meeting the general greedy guarantee with equality.
     """
-    _check_machines(m)
+    _check_count("machine count", m, 2)
     runs = [(m * (m - 1), 1), (1, m)]
     return _listed(runs, m, "graham_tight", Time(2 * m - 1), Time(m))
 
@@ -119,7 +119,7 @@ def gen_faigle(m: int) -> GeneratedFamily:
     ends at 4+3*sqrt(2) versus an optimum of 2+2*sqrt(2), ratio about
     1.7071 independent of m. The listed order is the adversarial one.
     """
-    _check_machines(m)
+    _check_count("machine count", m, 2)
     if m == 2:
         return _listed([(2, 1), (1, 2)], 2, "faigle_m2", Time(3), Time(2))
     if m == 3:

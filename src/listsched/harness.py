@@ -23,6 +23,7 @@ from .model import (
     ArrivalOrder,
     Instance,
     Time,
+    _check_count,
     _write_atomic,
     format_instance,
     format_time,
@@ -200,11 +201,10 @@ def worst_order_search(
     sequences. Up to enumeration_cap of them are enumerated exhaustively
     in lexicographic order; beyond the cap, exactly enumeration_cap
     sequences are sampled uniformly without replacement (deterministic for
-    a fixed seed). Ties are broken toward the lexicographically smallest
-    job-id order.
+    a fixed seed). enumeration_cap is an int >= 1 (model's count rule).
+    Ties are broken toward the lexicographically smallest job-id order.
     """
-    if enumeration_cap < 1:
-        raise ValueError("enumeration_cap must be at least 1")
+    _check_count("enumeration_cap", enumeration_cap, 1)
     high, m = _kernel_high(policy), instance.machines
     # Sizes (or ids) become codes 0..k-1 in increasing order: the map is
     # monotone, so lexicographic order, ranks and tie-breaks are theirs.
@@ -337,17 +337,16 @@ def verify_bound(
     the largest decided ratio so far can replace the witness and reach the
     oracle. Any other policy runs the oracle on every trial. A trial whose
     ratio exceeds the bound raises BoundViolation with the serialized
-    counterexample.
+    counterexample. Each count goes through model's count rule: trials is
+    an int >= 1, max_n an int in 1..12, max_m an int in 2..4, and
+    size_range (lo, hi) ints with lo >= 1 and hi >= lo.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not 1 <= max_n <= VERIFY_MAX_N:
-        raise ValueError(f"max_n must be between 1 and {VERIFY_MAX_N}")
-    if not 2 <= max_m <= VERIFY_MAX_M:
-        raise ValueError(f"max_m must be between 2 and {VERIFY_MAX_M}")
+    _check_count("trials", trials, 1)
+    _check_count("max_n", max_n, 1, VERIFY_MAX_N)
+    _check_count("max_m", max_m, 2, VERIFY_MAX_M)
     lo, hi = size_range
-    if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
-        raise ValueError("size_range must be integers with 1 <= lo <= hi")
+    _check_count("size_range lo", lo, 1)
+    _check_count("size_range hi", hi, lo)
     rng = random.Random(seed)
     high = _kernel_high(policy)
     # the largest ratio over decided trials, and over undecided ones

@@ -247,7 +247,8 @@ class Time:
         return _floor_pair(self._a, self._b, self._d)
 
     def decimal(self, places: int = 4) -> str:
-        """Round half-up to the given number of decimal places, exactly."""
+        """Round half-up to places decimal places, an int >= 0, exactly."""
+        _check_count("places", places, 0)
         scale = 10 ** places
         # floor(x * scale + 1/2) computed on the scaled triple
         n = _floor_pair(2 * self._a * scale + self._d, 2 * self._b * scale, 2 * self._d)
@@ -430,14 +431,17 @@ class Lanes(NamedTuple):
 _EXACT = (Time, int, Fraction, str)
 
 
-def _check_machines(machines: object) -> None:
-    # the one machine-count rule: 2.0 or Fraction(3) would pass the range
-    # check, then fail in list arithmetic naming neither; a bool is an int
-    # and fails the range check
-    if not isinstance(machines, int):
-        raise TypeError(f"machine count must be an int, not {machines!r}")
-    if machines < 2:
-        raise ValueError(f"machine count must be >= 2, got {machines}")
+def _check_count(name: str, value: object, low: int, high: Optional[int] = None) -> None:
+    # the one rule for every count a caller hands the library: 0.5 or
+    # Fraction(3) would pass a range check, then stop a loop or size a sample
+    # as a non-int, or fail far from the call; a bool is an int, so its range
+    # decides
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 class Instance(_Frozen):
@@ -499,7 +503,7 @@ class Instance(_Frozen):
                 # Job refuses it, naming the first job of that size
                 Job(ids[sizes.index(s)], size)
             distinct.append(size)
-        _check_machines(machines)
+        _check_count("machine count", machines, 2)
         if machines > sys.maxsize:
             raise ValueError(
                 f"machine count {machines} is past the largest list "
@@ -652,7 +656,7 @@ def parse_instance(text: str) -> Instance:
         except ValueError as exc:
             raise InstanceParseError(line_no, str(exc)) from None
     try:
-        _check_machines(machines)
+        _check_count("machine count", machines, 2)
     except ValueError as exc:
         raise InstanceParseError(machines_line, str(exc)) from None
     if not sizes:

@@ -11,6 +11,8 @@ from collections import Counter
 from math import factorial, prod
 from typing import Iterator, Sequence, TypeVar
 
+from .model import _check_count
+
 T = TypeVar("T")
 
 __all__ = [
@@ -75,12 +77,12 @@ def rank_permutation(sequence: Sequence[T]) -> int:
 
 
 def unrank_permutation(items: Sequence[T], rank: int) -> tuple[T, ...]:
-    """The arrangement at the given zero-based lexicographic index."""
+    """The arrangement at the given zero-based lexicographic index, an int
+    in 0..count-1 for count distinct permutations (model's count rule)."""
     counts = Counter(items)
     keys = sorted(counts)
     remaining = _count(counts)
-    if not 0 <= rank < max(remaining, 1):
-        raise ValueError(f"rank {rank} out of range for {remaining} permutations")
+    _check_count("rank", rank, 0, remaining - 1)
     n = len(items)
     out: list[T] = []
     for pos in range(n):

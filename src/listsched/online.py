@@ -14,7 +14,7 @@ from itertools import groupby
 from typing import NamedTuple, Optional
 
 from .model import ArrivalOrder, Instance, Job, Schedule, Time, format_time
-from .model import _check_machines
+from .model import _check_count
 
 __all__ = [
     "OnlinePolicy",
@@ -140,7 +140,7 @@ class Lsa(OnlinePolicy):
         return "LSA-high" if self.high else "LSA"
 
     def choose(self, loads: Sequence[Time], job: Optional[Job] = None) -> int:
-        _check_machines(len(loads))
+        _check_count("machine count", len(loads), 2)
         # the machine the kernel picks for an item of size zero
         steps: list = []
         greedy((0,), (0,), list(loads), self.high, steps)

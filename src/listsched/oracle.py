@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .model import ArrivalOrder, Instance, Schedule, Time, _check_machines
+from .model import ArrivalOrder, Instance, Schedule, Time, _check_count
 from .online import greedy, run_online
 
 __all__ = [
@@ -95,10 +95,10 @@ def opt_exact(
     distinct load at most once; sizes are positive, so unused machines
     all have load 0 and a job opens at most one of them.
     symmetry_breaking=False turns that equal-load prune off; it exists so
-    tests can confirm the prune never changes the value.
+    tests can confirm the prune never changes the value. node_budget is
+    an int >= 0 (model's count rule).
     """
-    if node_budget < 0:
-        raise ValueError("node_budget must be non-negative")
+    _check_count("node_budget", node_budget, 0)
     lb = lower_bound(instance)
     m = instance.machines
     lanes = instance.lanes
@@ -159,7 +159,7 @@ def opt_structured(family: str, m: int) -> Time:
     class1 ((m-1)^2 unit jobs plus one size-m job) packs to exactly m;
     class2 (m(m-1) unit jobs plus one size-m^2 job) packs to exactly m^2.
     """
-    _check_machines(m)
+    _check_count("machine count", m, 2)
     if family == "class1":
         return Time(m)
     if family == "class2":

@@ -1,0 +1,148 @@
+"""The one count rule, as every library count applies it: a count is an
+int within its bounds, and each one refuses any other value with the rule's
+message, before any work is done. Machine counts have their own module,
+tests/test_machine_count.py."""
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import partial
+
+import pytest
+
+from listsched import harness, model, oracle
+from listsched.harness import verify_bound, worst_order_search
+from listsched.model import Instance, Time
+from listsched.multiperm import permutation_count, unrank_permutation
+from listsched.oracle import opt_exact
+
+INSTANCE = Instance.from_sizes([3, 3, 2, 2, 2], 2)
+ITEMS = [1, 2, 2]  # three distinct permutations: ranks 0..2
+
+# each library count, keyed by its name in the message: the call that takes
+# it, the ints just out of its range with their messages, and the routine
+# that does the call's work after the check (None where the range needs the
+# work: the rank's upper end is the permutation count)
+COUNTS = {
+    "node_budget": (
+        lambda v: opt_exact(INSTANCE, node_budget=v),
+        [(-1, "node_budget must be >= 0, got -1")],
+        (oracle, "lower_bound"),
+    ),
+    "enumeration_cap": (
+        lambda v: worst_order_search(INSTANCE, enumeration_cap=v),
+        [(0, "enumeration_cap must be >= 1, got 0")],
+        (harness, "_kernel_high"),
+    ),
+    "trials": (
+        verify_bound,
+        [(0, "trials must be >= 1, got 0")],
+        (harness, "_kernel_high"),
+    ),
+    "max_n": (
+        lambda v: verify_bound(1, max_n=v),
+        [(0, "max_n must be >= 1, got 0"), (13, "max_n must be <= 12, got 13")],
+        (harness, "_kernel_high"),
+    ),
+    "max_m": (
+        lambda v: verify_bound(1, max_m=v),
+        [(1, "max_m must be >= 2, got 1"), (5, "max_m must be <= 4, got 5")],
+        (harness, "_kernel_high"),
+    ),
+    "size_range lo": (
+        lambda v: verify_bound(1, size_range=(v, 9)),
+        [(0, "size_range lo must be >= 1, got 0")],
+        (harness, "_kernel_high"),
+    ),
+    "size_range hi": (
+        lambda v: verify_bound(1, size_range=(5, v)),
+        [(4, "size_range hi must be >= 5, got 4")],
+        (harness, "_kernel_high"),
+    ),
+    "rank": (
+        partial(unrank_permutation, ITEMS),
+        [(-1, "rank must be >= 0, got -1"), (3, "rank must be <= 2, got 3")],
+        None,
+    ),
+    "places": (
+        Time(1, 1).decimal,
+        [(-1, "places must be >= 0, got -1")],
+        (model, "_floor_pair"),
+    ),
+}
+
+OUT_OF_RANGE = [
+    (name, value, message)
+    for name, (_, cases, _) in COUNTS.items()
+    for value, message in cases
+]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make the routine behind each count's call fail if it is reached."""
+
+    def forbid(name):
+        work = COUNTS[name][2]
+        if work is not None:
+            def reached(*args, **kwargs):
+                raise AssertionError(f"{name}: work began before the check")
+
+            monkeypatch.setattr(*work, reached)
+
+    return forbid
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(3), "3"])
+@pytest.mark.parametrize("name", COUNTS)
+def test_a_count_that_is_not_an_int_is_refused_in_one_message(name, value, no_work):
+    no_work(name)
+    with pytest.raises(TypeError) as raised:
+        COUNTS[name][0](value)
+    assert str(raised.value) == f"{name} must be an int, not {value!r}"
+
+
+@pytest.mark.parametrize("name, value, message", OUT_OF_RANGE)
+def test_a_count_out_of_range_is_refused_in_one_message(name, value, message, no_work):
+    no_work(name)
+    with pytest.raises(ValueError) as raised:
+        COUNTS[name][0](value)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
+
+
+def test_the_bounds_are_inclusive():
+    assert opt_exact(INSTANCE, node_budget=0).value == Time(6)
+    assert worst_order_search(INSTANCE, enumeration_cap=1).orders_examined == 1
+    assert verify_bound(1, max_n=12, max_m=4, size_range=(1, 1)).trials == 1
+    assert verify_bound(1, max_n=1, max_m=2, size_range=(9, 9)).trials == 1
+    assert unrank_permutation(ITEMS, 0) == (1, 2, 2)
+    assert unrank_permutation(ITEMS, permutation_count(ITEMS) - 1) == (2, 2, 1)
+    assert Time(Fraction(1, 2)).decimal(0) == "1"
+
+
+def test_a_bool_is_an_int_and_its_range_decides():
+    assert unrank_permutation([1, 2], True) == (2, 1)
+    assert Time(Fraction(1, 2)).decimal(False) == "1"
+    with pytest.raises(ValueError, match=r"^trials must be >= 1, got False$"):
+        verify_bound(False)
+
+
+def test_a_fractional_node_budget_no_longer_stops_the_search():
+    # 0.5 let one node through and reported the lower bound alone
+    with pytest.raises(TypeError, match=r"^node_budget must be an int, not 0\.5$"):
+        opt_exact(INSTANCE, node_budget=0.5)
+
+
+@pytest.mark.parametrize("sizes", [[1, 2], [1, 2, 3]])
+def test_a_fractional_cap_no_longer_decides_the_search(sizes):
+    # 2.5 called two orders an exhaustive search, and failed in
+    # random.sample once the orders outnumbered it
+    instance = Instance.from_sizes(sizes, 2)
+    with pytest.raises(TypeError, match=r"^enumeration_cap must be an int, not 2\.5$"):
+        worst_order_search(instance, enumeration_cap=2.5)
+
+
+def test_a_fractional_rank_is_not_unranked():
+    # 0.5 unranked to the first permutation
+    with pytest.raises(TypeError, match=r"^rank must be an int, not 0\.5$"):
+        unrank_permutation([1, 2], 0.5)

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import builtins
+import hashlib
 import json
 import operator
 import os
 import random
 import stat
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -28,7 +30,7 @@ from listsched.harness import (
     verify_bound,
     worst_order_search,
 )
-from listsched.model import ArrivalOrder, Instance, Job, Time
+from listsched.model import ArrivalOrder, Instance, Job, Time, format_instance
 from listsched.online import Lsa, OnlinePolicy, online_makespan, run_online
 from listsched.oracle import OPT_CERTIFIED, lower_bound, opt_exact
 
@@ -160,6 +162,20 @@ def test_instance_digest_looks_its_sha256_up_once(monkeypatch):
     inst = Instance.from_sizes([1, 1, 2], 2)
     assert instance_digest(inst) == instance_digest(inst)
     assert len(attempts) <= 1
+
+
+def test_instance_digest_falls_back_to_hashlib_without_cpythons_sha256(monkeypatch):
+    # a None entry in sys.modules makes importing that module fail
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    harness._sha256.cache_clear()
+    try:
+        assert harness._sha256() is hashlib.sha256
+        inst = Instance.from_sizes([1, 1, 2], 2)
+        text = format_instance(inst).encode("utf-8")
+        assert instance_digest(inst) == hashlib.sha256(text).hexdigest()[:12]
+    finally:
+        harness._sha256.cache_clear()
 
 
 def test_lower_bound_only_reports_are_flagged():
