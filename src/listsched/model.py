@@ -14,6 +14,7 @@ from collections import defaultdict
 from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from operator import attrgetter
 from pathlib import Path
@@ -453,8 +454,9 @@ class Instance(_Frozen):
     is the lane tuple itself. Nothing is cached later: jobs, job() and
     iteration build Job views from the columns on each call.
     Instance(jobs, machines) takes Job objects and keeps only their
-    columns; a copy or an unpickled instance is rebuilt by that
-    constructor from its jobs.
+    columns. A copy or an unpickled instance is rebuilt and checked by a
+    constructor: from_sizes when its ids are 1..n, else Instance(jobs,
+    machines).
     """
 
     __slots__ = ("job_ids", "sizes", "machines", "lanes")
@@ -481,13 +483,30 @@ class Instance(_Frozen):
         self._store(tuple(range(1, len(sizes) + 1)), sizes, machines)
         return self
 
-    def _store(self, ids: tuple, sizes: Sequence[TimeLike], machines: int) -> None:
+    @classmethod
+    def _from_runs(cls, runs: Sequence[tuple[int, TimeLike]], machines: int) -> "Instance":
+        """from_sizes of the sizes listed run by run: each (count, size)
+        stands for count >= 1 consecutive jobs of that size."""
+        counts, sizes = zip(*runs)
+        self = object.__new__(cls)
+        self._store(tuple(range(1, sum(counts) + 1)), sizes, machines, counts)
+        return self
+
+    def _store(
+        self,
+        ids: tuple,
+        sizes: Sequence[TimeLike],
+        machines: int,
+        counts: Optional[Sequence[int]] = None,
+    ) -> None:
         """Check the sizes and the machine count and set the four columns.
 
         Families reuse a handful of sizes thousands of times, so each
         distinct size is converted, checked and lowered once. One pass over
         a size table codes every job, hashing each size once: a missing
-        size is entered with the next code, the table's own length.
+        size is entered with the next code, the table's own length. Given
+        counts, sizes[k] is the size of a run of counts[k] jobs: the run's
+        size is hashed once and its code repeated counts[k] times.
         """
         # a float equal to an exact size before it would pass as that size
         if not all(issubclass(kind, _EXACT) for kind in set(map(type, sizes))):
@@ -496,12 +515,14 @@ class Instance(_Frozen):
         table = defaultdict()
         table.default_factory = table.__len__
         codes = list(map(table.__getitem__, sizes))
+        if counts is not None:
+            codes = list(chain.from_iterable(map(repeat, codes, counts)))
         distinct = []
-        for s in table:
+        for code, s in enumerate(table):
             size = as_time(s)
             if not size:
                 # Job refuses it, naming the first job of that size
-                Job(ids[sizes.index(s)], size)
+                Job(ids[codes.index(code)], size)
             distinct.append(size)
         _check_count("machine count", machines, 2)
         if machines > sys.maxsize:
@@ -518,6 +539,10 @@ class Instance(_Frozen):
             object.__setattr__(self, name, value)
 
     def __reduce__(self) -> tuple:
+        # ids 1..n are rebuilt from the sizes alone, which repeat a few
+        # values that pickle stores once, not as one Job per job
+        if self.job_ids == tuple(range(1, len(self) + 1)):
+            return type(self).from_sizes, (self.sizes, self.machines)
         return type(self), (self.jobs, self.machines)
 
     @property

@@ -221,11 +221,19 @@ def _kernel_high(policy: Optional[OnlinePolicy]) -> Optional[bool]:
 
 
 def _place(instance, order, policy, steps) -> list:
-    """Final loads and steps in lane values; a policy's choose sees Time loads."""
-    if not order.covers(instance):
-        raise ValueError("arrival order is not a permutation of the instance's jobs")
+    """Final loads and steps in lane values; a policy's choose sees Time loads.
+
+    The listed order (its permutation is the job_ids tuple itself) is a
+    permutation by construction, so the kernel with no steps reads its
+    sizes by position. Every other run checks the order and reads the
+    sizes through its ids.
+    """
     m, lanes = instance.machines, instance.lanes
     high = _kernel_high(policy)
+    if high is not None and steps is None and order.permutation is instance.job_ids:
+        return greedy(range(len(lanes.sizes)), lanes.sizes, [lanes.zero] * m, high)
+    if not order.covers(instance):
+        raise ValueError("arrival order is not a permutation of the instance's jobs")
     if high is None:
         pair_of = dict(zip(instance.job_ids, zip(instance, lanes.sizes)))
         return _choose_each(order.permutation, pair_of, instance, policy, steps)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from listsched.families import (
     generate,
     save_family,
 )
-from listsched.model import Time, load_instance
+from listsched.harness import competitive_ratio
+from listsched.model import Instance, Time, load_instance
 from listsched.online import Lsa, online_makespan, run_online
 from listsched.oracle import graham_bracket, opt_exact
 
@@ -125,6 +127,59 @@ def test_unit_run_families_at_scale(m):
             makespan = online_makespan(fam.instance, fam.worst_order, Lsa(tie_break))
             assert makespan == Time(greedy_makespan), (fam.family_tag, tie_break)
         assert opt_exact(fam.instance).value == Time(optimum), fam.family_tag
+
+
+def test_run_built_families_equal_from_sizes_of_their_expanded_runs(monkeypatch):
+    """A family's instance, built from its (count, size) runs, is the one
+    from_sizes builds from the sizes the runs expand to, column for column,
+    at every m up to 100."""
+    runs_of = []
+    from_runs = Instance._from_runs
+
+    def recording(runs, machines):
+        runs_of.append(runs)
+        return from_runs(runs, machines)
+
+    monkeypatch.setattr(Instance, "_from_runs", recording)
+    for m in range(2, 101):
+        for gen in (gen_class1, gen_class2, gen_graham_tight, gen_faigle):
+            built = gen(m).instance
+            sizes = [size for count, size in runs_of.pop() for _ in range(count)]
+            want = Instance.from_sizes(sizes, m)
+            assert built.job_ids == want.job_ids, (gen, m)
+            assert built.sizes == want.sizes and built.lanes == want.lanes, (gen, m)
+            assert built == want and hash(built) == hash(want), (gen, m)
+            assert repr(built) == repr(want), (gen, m)
+
+
+@pytest.mark.parametrize("bad", [0, Fraction(0), Time(0), "0", 1.0, 0.0])
+def test_a_bad_run_size_is_refused_as_from_sizes_refuses_it(bad):
+    """A zero size names the first job of its run, and a float is refused
+    as inexact, with from_sizes's exception and message."""
+    runs = [(3, 1), (2, bad), (1, 5), (2, bad)]
+    sizes = [size for count, size in runs for _ in range(count)]
+    with pytest.raises((ValueError, TypeError)) as want:
+        Instance.from_sizes(sizes, 2)
+    with pytest.raises(want.type) as got:
+        Instance._from_runs(runs, 2)
+    assert str(got.value) == str(want.value)
+    if want.type is ValueError:
+        assert str(got.value) == "job 4 must have positive size"
+
+
+def test_scoring_class2_peaks_under_100_bytes_a_job():
+    """Building and scoring class2 at m=300 (89,701 jobs) allocates under
+    100 bytes a job at its peak, the cap's premise (about 73 here)."""
+    competitive_ratio(gen_class2(3).instance, family_tag="class2")  # warm up
+    tracemalloc.start()
+    try:
+        fam = gen_class2(300)
+        report = competitive_ratio(fam.instance, family_tag="class2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.alg_makespan == fam.predicted_lsa
+    assert peak < 100 * len(fam.instance), peak / len(fam.instance)
 
 
 def test_machine_counts_too_large_for_a_family_are_refused():

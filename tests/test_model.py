@@ -377,15 +377,35 @@ def test_model_type_pickle_and_copy_round_trips(index):
 
 def test_model_types_pickle_and_copy_through_their_constructors():
     """A pickled or copied value is rebuilt by calling its class, so it is
-    checked again as the original was."""
+    checked again as the original was; an instance numbered 1..n is rebuilt
+    by from_sizes, and any other by Instance from its jobs."""
     assert Job(1, 2).__reduce__() == (Job, (1, Time(2)))
     assert ArrivalOrder((3, 1)).__reduce__() == (ArrivalOrder, ((3, 1),))
     jobs = (Job(2, 1), Job(1, "1/2"))
     assert Instance(jobs, 3).__reduce__() == (Instance, (jobs, 3))
     assert Instance.from_sizes([2, 1], 2).__reduce__() == (
-        Instance,
-        ((Job(1, 2), Job(2, 1)), 2),
+        Instance.from_sizes,
+        ((Time(2), Time(1)), 2),
     )
+    numbered = Instance((Job(1, 2), Job(2, 1)), 2)
+    assert numbered.__reduce__() == Instance.from_sizes([2, 1], 2).__reduce__()
+    skipped = (Job(1, 2), Job(3, 1))
+    assert Instance(skipped, 2).__reduce__() == (Instance, (skipped, 2))
+
+
+def test_a_pickled_instance_numbered_1_to_n_stores_each_size_once():
+    """The sizes of an instance numbered 1..n repeat a few values, which
+    pickle stores once each: 9,901 jobs of two sizes take under 25 KB
+    (one Job per job took 108,790 bytes). Loading calls from_sizes, so a
+    stream carrying a zero size is refused as from_sizes refuses it."""
+    instance = Instance.from_sizes([1] * 9900 + [10000], 100)
+    data = pickle.dumps(instance)
+    assert len(data) < 25_000
+    back = pickle.loads(data)
+    assert back == instance and back.lanes == instance.lanes
+    build, (sizes, machines) = instance.__reduce__()
+    with pytest.raises(ValueError, match="^job 9901 must have positive size$"):
+        build(sizes[:-1] + (Time(0),), machines)
 
 
 @pytest.mark.parametrize("sqrt2", [False, True])

@@ -117,6 +117,31 @@ def test_run_online_rejects_bad_orders_before_running():
             run_online(inst, ArrivalOrder(bad))
 
 
+def test_only_the_listed_order_skips_the_permutation_check(monkeypatch):
+    """The listed order is a permutation by construction, so the greedy
+    kernel runs it unchecked and reads its sizes by position. An equal
+    order that is another object, a run with a trace and a custom policy
+    are each checked once."""
+    fam = gen_class2(10)
+    instance, listed = fam.instance, fam.worst_order
+    checked = []
+    covers = ArrivalOrder.covers
+
+    def counted(order, inst):
+        checked.append(order)
+        return covers(order, inst)
+
+    monkeypatch.setattr(ArrivalOrder, "covers", counted)
+    for policy in (None, Lsa(), Lsa("high")):
+        assert online_makespan(instance, listed, policy) == fam.predicted_lsa
+    assert checked == []
+    equal = ArrivalOrder(list(instance.job_ids))
+    assert online_makespan(instance, equal) == fam.predicted_lsa
+    assert run_online(instance, listed)[0].makespan == fam.predicted_lsa
+    assert online_makespan(instance, listed, ScanLow()) == fam.predicted_lsa
+    assert checked == [equal, listed, listed]
+
+
 def test_schedule_and_trace_are_consistent():
     rng = random.Random(5)
     for _ in range(50):

@@ -4,8 +4,9 @@ read back, the greedy kernel, its bulk placement of long runs and its
 invariants under any arrival order, the coded order search, rank/unrank,
 the exact oracle against the greedy bound, the lower bound and Graham's
 bracket on int, rational and sqrt(2) sizes, instance digests,
-verify_bound against a run of the oracle on every trial, and instances
-whose ids are not 1..n against their renumbering."""
+verify_bound against a run of the oracle on every trial, instances
+whose ids are not 1..n against their renumbering, and the listed order,
+read by position, against an equal order read through the ids."""
 from __future__ import annotations
 
 import hashlib
@@ -18,6 +19,7 @@ from itertools import permutations
 from math import lcm
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -588,3 +590,64 @@ def test_ids_other_than_1_to_n_score_as_their_renumbering(case, policy, cap):
     assert opt_exact(shuffled).value == want_opt.value
     got = worst_order_search(shuffled, policy, enumeration_cap=cap).worst_makespan
     assert got == want_worst.worst_makespan
+
+
+class Recording(OnlinePolicy):
+    """Greedy by its own scan, keeping the id of every job it is shown."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.seen = []
+
+    def choose(self, loads, job):
+        self.seen.append(job.id)
+        return min(range(len(loads)), key=loads.__getitem__) + 1
+
+
+@PROPERTY
+@given(instances(), st.sampled_from(["low", "high"]), st.data())
+def test_listed_order_scores_as_an_equal_order_read_through_ids(
+    instance, tie_break, data
+):
+    """The listed order (whose permutation is the job_ids tuple) is read by
+    position; an equal order that is another object is checked and read
+    through the ids. Both give the same makespan, run and report, with ids
+    1..n and with scattered ids; a custom policy still sees every job, and
+    an order that is not a permutation is still refused."""
+    n = len(instance)
+    ids = data.draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True))
+    scattered = Instance(tuple(map(Job, ids, instance.sizes)), instance.machines)
+    for inst in (instance, scattered):
+        listed = ArrivalOrder.as_listed(inst)
+        equal = ArrivalOrder(list(inst.job_ids))
+        assert listed.permutation is inst.job_ids
+        assert equal == listed and equal.permutation is not inst.job_ids
+        for policy in (Lsa(tie_break), NamedLsa(tie_break)):
+            want = online_makespan(inst, equal, policy)
+            assert online_makespan(inst, listed, policy) == want
+            assert run_online(inst, listed, policy) == run_online(inst, equal, policy)
+            got = harness.competitive_ratio(inst, listed, policy)
+            assert got == harness.competitive_ratio(inst, equal, policy)
+            assert got.alg_makespan == want
+        recording = Recording()
+        schedule, _ = run_online(inst, listed, recording)
+        assert recording.seen == list(inst.job_ids)
+        assert schedule == run_online(inst, equal, LeastLoaded())[0]
+        recording.seen.clear()
+        online_makespan(inst, listed, recording)
+        assert recording.seen == list(inst.job_ids)
+        unused = max(inst.job_ids) + 1
+        not_permutations = [inst.job_ids[:-1], inst.job_ids + (unused,)]
+        not_permutations.append((unused,) + inst.job_ids[1:])
+        if n > 1:
+            not_permutations.append(inst.job_ids[:-1] + inst.job_ids[:1])
+        for permutation in not_permutations:
+            bad = ArrivalOrder(permutation)
+            for policy in (Lsa(tie_break), recording):
+                with pytest.raises(ValueError, match="not a permutation"):
+                    online_makespan(inst, bad, policy)
+                with pytest.raises(ValueError, match="not a permutation"):
+                    run_online(inst, bad, policy)
+                with pytest.raises(ValueError, match="not a permutation"):
+                    harness.competitive_ratio(inst, bad, policy)
