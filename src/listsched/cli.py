@@ -49,13 +49,22 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
-def _machine_count(text: str) -> int:
-    value = _int(text)
-    try:
-        _check_count("machine count", value, 2)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+def _count(name: str, low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """An option type for the library parameter `name`: an integer held to
+    `model`'s count rule, whose refusal is the argparse error."""
+
+    def parse(text: str) -> int:
+        value = _int(text)
+        try:
+            _check_count(name, value, low, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
+_machine_count = _count("machine count", 2)
 
 
 def _machine_list(text: str) -> list[int]:
@@ -65,21 +74,9 @@ def _machine_list(text: str) -> list[int]:
     return [_machine_count(item) for item in items]
 
 
-def _positive(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
-def _at_most(limit: int, parse: Callable[[str], int]) -> Callable[[str], int]:
-    def check(text: str) -> int:
-        value = parse(text)
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"must be at most {limit}, got {value}")
-        return value
-
-    return check
+def _given(**options: Optional[int]) -> dict[str, int]:
+    # an option left unset falls through to the library's default
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def _policy(name: str) -> Lsa:
@@ -112,11 +109,10 @@ def _resolve_instance(
 
 
 def _worst_order(args: argparse.Namespace, instance: Instance) -> WorstOrderResult:
-    options = {"enumeration_cap": args.cap, "seed": args.seed}
     return worst_order_search(
         instance,
         _policy(args.policy),
-        **{name: value for name, value in options.items() if value is not None},
+        **_given(enumeration_cap=args.cap, seed=args.seed),
     )
 
 
@@ -151,7 +147,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         order,
         _policy(args.policy),
         family_tag=tag,
-        node_budget=args.node_budget,
+        **_given(node_budget=args.node_budget),
     )
     if args.format == "text":
         _emit(_report_text(report), args.output)
@@ -253,14 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--format", choices=("text", "csv", "json"), default="text"
     )
-    # --cap and --seed stay None unless given, so run can refuse them
-    # without --order worst; the order search has their defaults
+    # --cap, --node-budget and --seed stay None unless given, so run can
+    # refuse --cap and --seed without --order worst; the library has their
+    # defaults
     run.add_argument(
-        "--cap", type=_positive,
+        "--cap", type=_count("enumeration_cap", 1),
         help="order-search cap when --order worst (default 1000000)",
     )
     run.add_argument(
-        "--node-budget", type=_positive, default=None,
+        "--node-budget", type=_count("node_budget", 0),
         help="search budget for the exact optimum",
     )
     run.add_argument(
@@ -281,15 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     t2.set_defaults(handler=cmd_table2)
 
     verify = sub.add_parser("verify", help="randomized bound check")
-    verify.add_argument("--trials", type=_positive, default=100)
+    verify.add_argument("--trials", type=_count("trials", 1), default=100)
     verify.add_argument(
-        "--max-n", type=_at_most(VERIFY_MAX_N, _positive), default=VERIFY_MAX_N
+        "--max-n", type=_count("max_n", 1, VERIFY_MAX_N), default=VERIFY_MAX_N
     )
     verify.add_argument(
-        "--max-m", type=_at_most(VERIFY_MAX_M, _machine_count), default=VERIFY_MAX_M
+        "--max-m", type=_count("machine count", 2, VERIFY_MAX_M), default=VERIFY_MAX_M
     )
-    verify.add_argument("--size-min", type=_positive, default=1)
-    verify.add_argument("--size-max", type=_positive, default=9)
+    verify.add_argument("--size-min", type=_count("size_range lo", 1), default=1)
+    verify.add_argument("--size-max", type=_count("size_range hi", 1), default=9)
     verify.add_argument("--seed", type=_int, default=0, help="RNG seed (default 0)")
     _add_output(verify)
     # verify refuses --size-min past --size-max through its own usage line
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     worst = sub.add_parser("worst-order", help="search for the worst arrival order")
     _add_instance_args(worst)
     worst.add_argument("--policy", choices=tuple(TIE_BREAKS), default="lsa")
-    worst.add_argument("--cap", type=_positive)
+    worst.add_argument("--cap", type=_count("enumeration_cap", 1))
     worst.add_argument("--seed", type=_int, help="RNG seed (default 0)")
     _add_output(worst)
     worst.set_defaults(handler=cmd_worst_order)

@@ -145,7 +145,7 @@ def competitive_ratio(
     policy: Optional[OnlinePolicy] = None,
     *,
     family_tag: Optional[str] = None,
-    node_budget: Optional[int] = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> RatioReport:
     """Run the policy online and compare its makespan against the optimum.
 
@@ -158,8 +158,6 @@ def competitive_ratio(
     if policy is None:
         policy = Lsa()
     alg_makespan = online_makespan(instance, order, policy)
-    if node_budget is None:
-        node_budget = DEFAULT_NODE_BUDGET
     opt = opt_exact(instance, node_budget)
     if family_tag in ("class1", "class2") and opt.is_exact:
         analytic = opt_structured(family_tag, instance.machines)
@@ -371,7 +369,10 @@ def verify_bound(
             if alg * q <= p * lb:
                 continue
         instance = Instance.from_sizes(sizes, m)
-        report = competitive_ratio(instance, ArrivalOrder(tuple(ids)), policy)
+        # the module's budget, read when verify runs, not when it was defined
+        report = competitive_ratio(
+            instance, ArrivalOrder(tuple(ids)), policy, node_budget=DEFAULT_NODE_BUDGET
+        )
         satisfied = report.bound_satisfied
         if satisfied is False:
             raise BoundViolation(report)

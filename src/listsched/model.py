@@ -524,12 +524,8 @@ class Instance(_Frozen):
                 # Job refuses it, naming the first job of that size
                 Job(ids[codes.index(code)], size)
             distinct.append(size)
-        _check_count("machine count", machines, 2)
-        if machines > sys.maxsize:
-            raise ValueError(
-                f"machine count {machines} is past the largest list "
-                f"index {sys.maxsize}"
-            )
+        # a list of one load per machine holds at most sys.maxsize items
+        _check_count("machine count", machines, 2, sys.maxsize)
         if not ids:
             raise ValueError("an instance needs at least one job")
         lanes = Lanes.lower(distinct, codes)
@@ -681,7 +677,7 @@ def parse_instance(text: str) -> Instance:
         except ValueError as exc:
             raise InstanceParseError(line_no, str(exc)) from None
     try:
-        _check_count("machine count", machines, 2)
+        _check_count("machine count", machines, 2, sys.maxsize)
     except ValueError as exc:
         raise InstanceParseError(machines_line, str(exc)) from None
     if not sizes:
@@ -689,10 +685,8 @@ def parse_instance(text: str) -> Instance:
     try:
         return Instance.from_sizes(sizes, machines)
     except ValueError as exc:
-        # from_sizes names the first zero-size job before it checks m against
-        # sys.maxsize; report either at its line
-        line_no = machines_line if all(sizes) else body[sizes.index(0)][0]
-        raise InstanceParseError(line_no, str(exc)) from None
+        # from_sizes names the first zero-size job; report it at its line
+        raise InstanceParseError(body[sizes.index(0)][0], str(exc)) from None
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

@@ -21,7 +21,8 @@ from conftest import deep_instance
 from listsched import cli, harness
 from listsched.cli import OUTPUT_DIR_VAR, main
 from listsched.harness import REPORT_COLUMNS, verify_bound
-from listsched.model import format_instance
+from listsched.model import Time, format_instance, load_instance
+from listsched.oracle import OptResult, opt_exact
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -145,6 +146,35 @@ def test_run_instance_certified_at_a_whole_unit(tmp_path, capsys):
     path.write_text("m=2\n2\n3\n4\n")
     assert main(["run", "--instance", str(path)]) == 0
     assert "opt: 5 (certified-by-bound, 0 nodes)" in capsys.readouterr().out
+
+
+def test_a_zero_node_budget_keeps_only_the_lpt_certificate(tmp_path, capsys):
+    # LPT's 7 on 3 3 2 2 2 is above the load bound 12/2 = 6, so no certificate
+    # decides it, and with no search budget only that bound is left
+    path = tmp_path / "jobs.txt"
+    path.write_text("m=2\n3\n3\n2\n2\n2\n")
+    assert opt_exact(load_instance(path), 0) == OptResult(Time("6"), "lower-bound-only", 1)
+    assert main(["run", "--instance", str(path), "--node-budget", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "\nopt: 6 (lower-bound-only, 1 nodes)\n" in out
+    assert out.endswith("\nbound satisfied: n/a (optimum not exact)\n")
+    assert main(["run", "--family", "class2", "--m", "10", "--node-budget", "0"]) == 0
+    assert "\nopt: 100 (certified-by-bound, 0 nodes)\n" in capsys.readouterr().out
+
+
+def test_the_largest_families_give_the_papers_bounds(capsys):
+    # class2 at m=100: greedy m^2 + m - 1 against the certified optimum m^2
+    assert main(["run", "--family", "class2", "--m", "100", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["alg_makespan"], row["opt"], row["opt_kind"]) == (
+        "10099",
+        "10000",
+        "certified-by-bound",
+    )
+    # class1 at m=100: the ratio 2 - 2/m
+    assert main(["run", "--family", "class1", "--m", "100", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == ["100,class1,198,100,198/100,1.9800,1.9900,true"]
 
 
 def test_run_instance_deeper_than_the_recursion_limit(tmp_path, capsys):
@@ -620,9 +650,9 @@ def test_readme_verify_run_prints_five_pinned_lines(capsys):
 @pytest.mark.parametrize(
     "option, value, message",
     [
-        ("--max-n", "13", "must be at most 12, got 13"),
-        ("--max-n", "0", "must be positive, got 0"),
-        ("--max-m", "5", "must be at most 4, got 5"),
+        ("--max-n", "13", "max_n must be <= 12, got 13"),
+        ("--max-n", "0", "max_n must be >= 1, got 0"),
+        ("--max-m", "5", "machine count must be <= 4, got 5"),
         ("--size-min", "10", "must be at most --size-max (9), got 10"),
     ],
 )
@@ -760,6 +790,8 @@ def test_output_to_a_directory_names_the_directory(tmp_path, capsys):
         runs.append(capsys.readouterr())
     message = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(target)!r}\n"
     assert runs == [("", message)] * 2
+    if sys.platform == "linux":
+        assert message == f"error: [Errno 21] Is a directory: '{target}'\n"
     assert [p.name for p in tmp_path.iterdir()] == ["reports"]
     assert list(target.iterdir()) == []
 

@@ -1,17 +1,25 @@
 """The one count rule, as every library count applies it: a count is an
 int within its bounds, and each one refuses any other value with the rule's
-message, before any work is done. Machine counts have their own module,
+message, before any work is done. The CLI's integer options apply the same
+rule to the parameters they feed. Machine counts have their own module,
 tests/test_machine_count.py."""
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
 from listsched import harness, model, oracle
-from listsched.harness import verify_bound, worst_order_search
-from listsched.model import Instance, Time
+from listsched.cli import build_parser, main
+from listsched.harness import (
+    VERIFY_MAX_M,
+    VERIFY_MAX_N,
+    verify_bound,
+    worst_order_search,
+)
+from listsched.model import Instance, Time, _check_count
 from listsched.multiperm import permutation_count, unrank_permutation
 from listsched.oracle import opt_exact
 
@@ -146,3 +154,91 @@ def test_a_fractional_rank_is_not_unranked():
     # 0.5 unranked to the first permutation
     with pytest.raises(TypeError, match=r"^rank must be an int, not 0\.5$"):
         unrank_permutation([1, 2], 0.5)
+
+
+# each CLI integer option but --seed: the argv before its value, and the
+# library parameter it feeds, as its name in the rule's message and its bounds
+CLI_COUNTS = {
+    "run --m": (["run", "--family", "class1", "--m"], "machine count", 2, None),
+    "run --cap": (
+        ["run", "--family", "class1", "--m", "3", "--order", "worst", "--cap"],
+        "enumeration_cap",
+        1,
+        None,
+    ),
+    "run --node-budget": (
+        ["run", "--family", "class1", "--m", "3", "--node-budget"],
+        "node_budget",
+        0,
+        None,
+    ),
+    "table2 --machines": (["table2", "--machines"], "machine count", 2, None),
+    "verify --trials": (["verify", "--trials"], "trials", 1, None),
+    "verify --max-n": (["verify", "--max-n"], "max_n", 1, VERIFY_MAX_N),
+    "verify --max-m": (["verify", "--max-m"], "machine count", 2, VERIFY_MAX_M),
+    "verify --size-min": (["verify", "--size-min"], "size_range lo", 1, None),
+    "verify --size-max": (["verify", "--size-max"], "size_range hi", 1, None),
+    "worst-order --m": (
+        ["worst-order", "--family", "class2", "--m"],
+        "machine count",
+        2,
+        None,
+    ),
+    "worst-order --cap": (
+        ["worst-order", "--family", "class2", "--m", "2", "--cap"],
+        "enumeration_cap",
+        1,
+        None,
+    ),
+}
+
+
+def test_every_integer_option_but_seed_feeds_a_listed_count():
+    parser = build_parser()
+    (commands,) = (
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    typed = {
+        f"{command} {option}"
+        for command, sub in commands.items()
+        for action in sub._actions
+        if action.type is not None
+        for option in action.option_strings
+        if option != "--seed"
+    }
+    assert typed == set(CLI_COUNTS)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        (option, value)
+        for option, (_, _, low, high) in CLI_COUNTS.items()
+        for value in (low - 1, *([] if high is None else [high + 1]))
+    ],
+)
+def test_the_cli_refuses_a_count_in_the_rules_words(option, value, capsys):
+    argv, name, low, high = CLI_COUNTS[option]
+    with pytest.raises(ValueError) as rule:
+        _check_count(name, value, low, high)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(value)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    command, flag = argv[0], argv[-1]
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: listsched {command} ")
+    assert captured.err.endswith(
+        f"\nlistsched {command}: error: argument {flag}: {rule.value}\n"
+    )
+
+
+@pytest.mark.parametrize("option", CLI_COUNTS)
+def test_the_cli_takes_a_count_at_its_bounds(option):
+    argv, _, low, high = CLI_COUNTS[option]
+    dest = argv[-1].removeprefix("--").replace("-", "_")
+    for value in (low,) if high is None else (low, high):
+        parsed = vars(build_parser().parse_args([*argv, str(value)]))[dest]
+        assert parsed == ([value] if dest == "machines" else value)

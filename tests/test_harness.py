@@ -460,7 +460,7 @@ def test_verify_bound_counts_undecided_trials(monkeypatch):
         if decided and ceiling <= max(decided):
             continue
         reached += 1
-        report = competitive_ratio(instance, order)
+        report = competitive_ratio(instance, order, node_budget=0)
         if report.bound_satisfied is not None:
             decided.append(report.ratio)
     assert len(decided) == reached - summary.undecided

@@ -96,7 +96,8 @@ def _runs(draw):
         order,
         Lsa(draw(st.sampled_from(["low", "high"]))),
         draw(st.sampled_from([None, "faigle_sqrt2", "mine"])),
-        draw(st.sampled_from([None, 0])),  # a zero budget often leaves a lower bound
+        # a zero budget often leaves a lower bound
+        draw(st.sampled_from([harness.DEFAULT_NODE_BUDGET, 0])),
     )
 
 
