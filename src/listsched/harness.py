@@ -236,8 +236,8 @@ def worst_order_search(
         return tuple([next(taken[c]) for c in sequence])
 
     if high is not None:
-        def makespan(sequence: Sequence[int]):
-            return max(greedy(sequence, distinct, [lanes.zero] * m, high))
+        def makespan(seq: Sequence[int]):
+            return max(greedy(list(map(distinct.__getitem__, seq)), [lanes.zero] * m, high))
 
     else:
         # each id is its own code: its Job and lane are looked up once
@@ -351,14 +351,14 @@ def verify_bound(
     best: dict[bool, RatioReport] = {}
     p, q = 0, 1  # the largest decided ratio as ints, 0 before any
     undecided = 0
+    # randrange(a, b + 1) is randint(a, b), one call shallower: the same draws
     for _ in range(trials):
-        n = rng.randint(1, max_n)
-        m = rng.randint(2, max_m)
-        sizes = [rng.randint(lo, hi) for _ in range(n)]
+        n, m = rng.randrange(1, max_n + 1), rng.randrange(2, max_m + 1)
+        sizes = [rng.randrange(lo, hi + 1) for _ in range(n)]
         ids = list(range(1, n + 1))  # the ids Instance.from_sizes gives
         rng.shuffle(ids)
         if high is not None:
-            alg = max(greedy(ids, (0, *sizes), [0] * m, high))
+            alg = max(greedy(list(map([0, *sizes].__getitem__, ids)), [0] * m, high))
             lb, ub = graham_bracket(sizes, m)
             if not lb <= alg <= ub:
                 raise RuntimeError(

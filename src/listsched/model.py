@@ -401,6 +401,12 @@ class Job(_Frozen):
         object.__setattr__(self, "size", size)
 
 
+def _column(values: Sequence, codes: Sequence[int], counts: Optional[Sequence]) -> tuple:
+    """values[c] for each code c; given counts, the k-th repeated counts[k] times."""
+    column = map(values.__getitem__, codes)
+    return tuple(chain.from_iterable(map(repeat, column, counts)) if counts else column)
+
+
 class Lanes(NamedTuple):
     """An instance's job sizes lowered once, as a column aligned with job_ids.
 
@@ -419,13 +425,13 @@ class Lanes(NamedTuple):
         return Time._make(value, 0, self.scale) if self.scale else value
 
     @classmethod
-    def lower(cls, values: Sequence[Time], codes: Iterable[int]) -> "Lanes":
-        """The one rule that lowers sizes: the lanes of values[c] for c in codes."""
+    def lower(cls, values: Sequence[Time], codes: Sequence[int], counts) -> "Lanes":
+        """The one rule that lowers sizes: the lanes of _column(values, codes, counts)."""
         if any(value._b for value in values):
-            return cls(tuple(map(values.__getitem__, codes)), Time(0), 0)
+            return cls(_column(values, codes, counts), Time(0), 0)
         scale = lcm(*{value._d for value in values})
         lane = [value._a * (scale // value._d) for value in values]
-        return cls(tuple(map(lane.__getitem__, codes)), 0, scale)
+        return cls(_column(lane, codes, counts), 0, scale)
 
 
 # the types Job turns into a Time; a float or Decimal may equal one of them
@@ -503,10 +509,10 @@ class Instance(_Frozen):
 
         Families reuse a handful of sizes thousands of times, so each
         distinct size is converted, checked and lowered once. One pass over
-        a size table codes every job, hashing each size once: a missing
-        size is entered with the next code, the table's own length. Given
-        counts, sizes[k] is the size of a run of counts[k] jobs: the run's
-        size is hashed once and its code repeated counts[k] times.
+        a size table codes every size, hashing each once: a missing size is
+        entered with the next code, the table's own length. Given counts,
+        sizes[k] is the size of a run of counts[k] jobs: the run's size is
+        coded once, and each column repeats the run's value counts[k] times.
         """
         # a float equal to an exact size before it would pass as that size
         if not all(issubclass(kind, _EXACT) for kind in set(map(type, sizes))):
@@ -515,22 +521,21 @@ class Instance(_Frozen):
         table = defaultdict()
         table.default_factory = table.__len__
         codes = list(map(table.__getitem__, sizes))
-        if counts is not None:
-            codes = list(chain.from_iterable(map(repeat, codes, counts)))
         distinct = []
         for code, s in enumerate(table):
             size = as_time(s)
             if not size:
                 # Job refuses it, naming the first job of that size
-                Job(ids[codes.index(code)], size)
+                k = codes.index(code)
+                Job(ids[sum(counts[:k]) if counts else k], size)
             distinct.append(size)
         # a list of one load per machine holds at most sys.maxsize items
         _check_count("machine count", machines, 2, sys.maxsize)
         if not ids:
             raise ValueError("an instance needs at least one job")
-        lanes = Lanes.lower(distinct, codes)
+        lanes = Lanes.lower(distinct, codes, counts)
         # on sqrt(2) lanes the lane column is the Time column
-        sizes = tuple(map(distinct.__getitem__, codes)) if lanes.scale else lanes.sizes
+        sizes = _column(distinct, codes, counts) if lanes.scale else lanes.sizes
         for name, value in zip(self.__slots__, (ids, sizes, machines, lanes)):
             object.__setattr__(self, name, value)
 

@@ -28,34 +28,34 @@ __all__ = [
 ]
 
 
-def greedy(order, size_of, loads: list, high: bool = False, steps=None) -> list:
-    """The greedy kernel: place each item of order on a least-loaded machine.
+def greedy(sizes, loads: list, high: bool = False, steps=None) -> list:
+    """The greedy kernel: place each size on a least-loaded machine in turn.
 
-    size_of[item] is the item's size (items are job ids or size codes);
-    loads holds every machine's starting load and is updated in place and
-    returned. Equal loads go to the lowest machine index, or the highest
-    when high is set. Sizes and loads may be ints or Time: the kernel only
-    adds and compares them. When steps is a list, one (item, machine,
-    new_load) triple per placement is appended to it, machine 1-based.
+    sizes is a sized sequence of lane sizes in arrival order; loads holds
+    every machine's starting load and is updated in place and returned.
+    Equal loads go to the lowest machine index, or the highest when high is
+    set. Sizes and loads may be ints or Time: the kernel only adds and
+    compares them. When steps is a list, one (machine, new_load) pair per
+    placement is appended to it, machine 1-based.
 
-    With no steps and int loads, a run of at least 8*m consecutive items
-    of one positive int size is placed in bulk by water-filling, with the
-    loads the one-by-one placement would give; every other item (and every
-    item of a call with steps or Time loads) goes through the heap alone.
+    With no steps and int loads, a run of at least 8*m consecutive equal
+    positive int sizes is placed in bulk by water-filling, with the loads
+    the one-by-one placement would give; every other size (and every size
+    of a call with steps or Time loads) goes through the heap alone.
     """
     # the key orders equal loads by the tie-break; abs(key) is the index
     heap = [(load, -k if high else k) for k, load in enumerate(loads)]
     heapify(heap)
     bulk = _BULK_RUN * len(loads)
-    if steps is not None or type(loads[0]) is not int or len(order) < bulk:
-        for item in order:
+    if steps is not None or type(loads[0]) is not int or len(sizes) < bulk:
+        for size in sizes:
             load, key = heap[0]
-            load = load + size_of[item]
+            load = load + size
             heapreplace(heap, (load, key))
             if steps is not None:
-                steps.append((item, abs(key) + 1, load))
+                steps.append((abs(key) + 1, load))
     else:
-        for size, run in groupby(map(size_of.__getitem__, order)):
+        for size, run in groupby(sizes):
             count = len(list(run))
             if count >= bulk and type(size) is int and size > 0:
                 heap = _water_fill(heap, size, count)
@@ -143,8 +143,8 @@ class Lsa(OnlinePolicy):
         _check_count("machine count", len(loads), 2)
         # the machine the kernel picks for an item of size zero
         steps: list = []
-        greedy((0,), (0,), list(loads), self.high, steps)
-        return steps[0][1]
+        greedy((0,), list(loads), self.high, steps)
+        return steps[0][0]
 
 
 class TraceStep(NamedTuple):
@@ -157,14 +157,14 @@ class TraceStep(NamedTuple):
 
 
 class Trace(Sequence):
-    """The TraceSteps of one run, stored as (job, machine, new_load) triples.
+    """The TraceSteps of one run: its job ids, one (machine, new_load) each.
 
     The load vectors of each step are rebuilt when the trace is read, so a
     run whose trace is never read pays O(n) for it rather than O(n*m).
     """
 
-    def __init__(self, steps: list, machines: int, to_time: Callable):
-        self._steps, self._machines, self._to_time = steps, machines, to_time
+    def __init__(self, ids: Sequence, steps: list, machines: int, to_time: Callable):
+        self._ids, self._steps, self._machines, self._to_time = ids, steps, machines, to_time
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -172,7 +172,7 @@ class Trace(Sequence):
     def __iter__(self) -> Iterator[TraceStep]:
         loads = [Time(0)] * self._machines
         before = tuple(loads)
-        for job_id, machine, load in self._steps:
+        for job_id, (machine, load) in zip(self._ids, self._steps):
             loads[machine - 1] = self._to_time(load)
             after = tuple(loads)
             yield TraceStep(job_id, machine, before, after)
@@ -198,10 +198,10 @@ def run_online(
     """
     steps: list = []
     loads = _place(instance, order, policy, steps)
-    to_time = instance.lanes.time
-    assignment = {job_id: machine for job_id, machine, _ in steps}
+    to_time, ids = instance.lanes.time, order.permutation
+    assignment = {job_id: machine for job_id, (machine, _) in zip(ids, steps)}
     schedule = Schedule(assignment, tuple(map(to_time, loads)), to_time(max(loads)))
-    return schedule, Trace(steps, instance.machines, to_time)
+    return schedule, Trace(ids, steps, instance.machines, to_time)
 
 
 def online_makespan(
@@ -224,21 +224,21 @@ def _place(instance, order, policy, steps) -> list:
     """Final loads and steps in lane values; a policy's choose sees Time loads.
 
     The listed order (its permutation is the job_ids tuple itself) is a
-    permutation by construction, so the kernel with no steps reads its
-    sizes by position. Every other run checks the order and reads the
-    sizes through its ids.
+    permutation by construction, so the kernel with no steps reads the
+    lane column as it is. Every other run checks the order and looks up
+    the sizes through its ids.
     """
     m, lanes = instance.machines, instance.lanes
     high = _kernel_high(policy)
     if high is not None and steps is None and order.permutation is instance.job_ids:
-        return greedy(range(len(lanes.sizes)), lanes.sizes, [lanes.zero] * m, high)
+        return greedy(lanes.sizes, [lanes.zero] * m, high)
     if not order.covers(instance):
         raise ValueError("arrival order is not a permutation of the instance's jobs")
     if high is None:
         pair_of = dict(zip(instance.job_ids, zip(instance, lanes.sizes)))
         return _choose_each(order.permutation, pair_of, instance, policy, steps)
-    size_of = dict(zip(instance.job_ids, lanes.sizes))
-    return greedy(order.permutation, size_of, [lanes.zero] * m, high, steps)
+    sizes = map(dict(zip(instance.job_ids, lanes.sizes)).__getitem__, order.permutation)
+    return greedy(list(sizes), [lanes.zero] * m, high, steps)
 
 
 def _choose_each(order, pair_of, instance, policy, steps) -> list:
@@ -257,7 +257,7 @@ def _choose_each(order, pair_of, instance, policy, steps) -> list:
         load = loads[machine - 1] + size
         loads[machine - 1], times[machine - 1] = load, lanes.time(load)
         if steps is not None:
-            steps.append((job.id, machine, load))
+            steps.append((machine, load))
     return loads
 
 

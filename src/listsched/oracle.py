@@ -106,7 +106,7 @@ def opt_exact(
     # that its greedy makespan and the search below depend on
     descending = sorted(lanes.sizes, reverse=True)
     n = len(descending)
-    best = lanes.time(max(greedy(range(n), descending, [lanes.zero] * m)))
+    best = lanes.time(max(greedy(descending, [lanes.zero] * m)))
     if best == lb:
         return OptResult(best, OPT_CERTIFIED, 0)
 

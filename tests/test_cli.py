@@ -577,8 +577,8 @@ def test_verify_with_a_broken_kernel_is_an_invariant_violation(shift, monkeypatc
     a counterexample to the bound."""
     real = harness.greedy
 
-    def broken(order, size_of, loads, high=False, steps=None):
-        return [shift(load) for load in real(order, size_of, loads, high, steps)]
+    def broken(sizes, loads, high=False, steps=None):
+        return [shift(load) for load in real(sizes, loads, high, steps)]
 
     monkeypatch.setattr(harness, "greedy", broken)
     assert main(["verify", "--trials", "1", "--seed", "2"]) == 1
@@ -826,6 +826,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "2,1.0000,1.2500" in proc.stdout
+
+
+def test_module_entry_point_output_follows_a_strict_umask(tmp_path):
+    # the process, not the test, runs under umask 077, so --output's file
+    # gets the mode a file the shell creates under that umask gets
+    out = tmp_path / "strict.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "listsched", "table2", "--machines", "2", "--output", str(out)],
+        capture_output=True,
+        text=True,
+        cwd=Path(listsched.__file__).parents[1],
+        preexec_fn=lambda: os.umask(0o077),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("m,class1_ratio,class2_ratio\n2,1.0000,1.2500\n")
+    assert out.stat().st_mode & 0o777 == 0o600
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

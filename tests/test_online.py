@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance, random_order
+from listsched import online, oracle
 from listsched.families import gen_class1, gen_class2, gen_faigle, gen_graham_tight
 from listsched.model import ArrivalOrder, Instance, Time, parse_time, validate_schedule
 from listsched.online import (
@@ -310,3 +311,28 @@ def test_trace_jsonl_round_trips_exact_values():
 def test_trace_step_is_a_value():
     step = TraceStep(1, 2, (Time(0), Time(0)), (Time(0), Time(1)))
     assert step == TraceStep(1, 2, (Time(0), Time(0)), (Time(0), Time(1)))
+
+
+def test_the_kernel_reads_the_lane_column_and_the_lpt_list_as_they_are(monkeypatch):
+    """The listed order hands the kernel instance.lanes.sizes itself, and
+    opt_exact's LPT pass the descending list it sorted: no per-job copy or
+    lookup sits between a size column and the kernel's run grouping."""
+    seen, sorted_lists = [], []
+    real_groupby = online.groupby
+
+    def recording_groupby(sizes):
+        seen.append(sizes)
+        return real_groupby(sizes)
+
+    def recording_sorted(*args, **kwargs):
+        sorted_lists.append(sorted(*args, **kwargs))
+        return sorted_lists[-1]
+
+    monkeypatch.setattr(online, "groupby", recording_groupby)
+    monkeypatch.setattr(oracle, "sorted", recording_sorted, raising=False)
+    instance = gen_class2(20).instance
+    online_makespan(instance, ArrivalOrder.as_listed(instance))
+    assert len(seen) == 1 and seen[0] is instance.lanes.sizes
+    oracle.opt_exact(instance)
+    assert len(seen) == 2 and any(seen[1] is lpt for lpt in sorted_lists)
+    assert seen[1] == sorted(instance.lanes.sizes, reverse=True)

@@ -330,9 +330,10 @@ def run_heavy_calls(draw) -> tuple[list, list, list]:
 def test_bulk_placement_matches_one_by_one(call, high):
     """With no step sink, long equal-size runs are water-filled; a sink
     forces the one-by-one heap loop, and the loads must not differ."""
-    order, sizes, starts = call
-    one_by_one = greedy(order, sizes, list(starts), high, [])
-    assert greedy(order, sizes, list(starts), high) == one_by_one
+    codes, distinct, starts = call
+    sizes = [distinct[c] for c in codes]
+    one_by_one = greedy(sizes, list(starts), high, [])
+    assert greedy(sizes, list(starts), high) == one_by_one
 
 
 def _reference_worst(instance, tie_break, orders):
