@@ -77,6 +77,16 @@ def test_readme_library_example():
     assert checked == 6
 
 
+def test_readme_instance_file_runs(tmp_path):
+    """Run the README's Instance files block as a file."""
+    block = re.search(r"## Instance files\n.*?\n```\n(.*?)```", README.read_text(), re.S)
+    path = tmp_path / "readme.txt"
+    path.write_text(block.group(1))
+    instance = load_instance(path)
+    assert (instance.machines, len(instance)) == (4, 4)
+    assert main(["run", "--instance", str(path)]) == 0
+
+
 def test_run_family_text(capsys):
     assert main(["run", "--family", "class1", "--m", "4"]) == 0
     out = capsys.readouterr().out
@@ -279,11 +289,19 @@ def test_family_too_large_for_memory_is_usage_error(capsys):
     )
 
 
-def test_malformed_instance_reports_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("m=2\n3\nbogus\n", "error: line 3: bad time literal: 'bogus'\n"),
+        ("m=3\n1\n0\n2\n", "error: line 3: job 2 must have positive size\n"),
+    ],
+    ids=["bad-size", "zero-size"],
+)
+def test_malformed_instance_reports_line(text, err, tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text("m=2\n3\nbogus\n")
+    path.write_text(text)
     assert main(["run", "--instance", str(path)]) == 2
-    assert "line 3" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", err)
 
 
 def test_missing_instance_file(tmp_path, capsys):
@@ -456,35 +474,35 @@ def test_help_lists_the_family_and_policy_choices(command, monkeypatch, capsys):
     assert "--policy {lsa,lsa-high}" in out
 
 
-# (COLUMNS, argv): every subcommand, help, usage errors and repeats, with the
-# terminal width changed between calls
+# (COLUMNS, argv, exit code): every subcommand, help, usage errors and
+# repeats, with the terminal width changed between calls
 PARSER_CORPUS = [
-    ("80", "run --family class1 --m 3"),
-    ("80", "--help"),
-    ("80", "run --help"),
-    ("80", "table2 --machines 2,3 --format json"),
-    ("80", "run"),
-    ("80", "frobnicate"),
-    ("80", "run --family class1 --m 3 --seed 9"),
-    ("50", "run --help"),
-    ("50", "run --family class1 --m x"),
-    ("50", "table2 --machines ,"),
-    ("50", "table2 --machines 2 --seed 5"),
-    ("50", "verify --trials 0"),
-    ("50", "verify --trials 5 --seed 3"),
-    ("50", "worst-order --family class2 --m 2"),
-    ("50", "run --family class2 --m 3 --format csv"),
-    ("50", "--help"),
-    ("80", "run --family class1 --m 3"),
-    ("80", "table2 --machines 2,3 --format json"),
-    ("80", "worst-order --help"),
-    ("80", "run --family class1 --m x"),
+    ("80", "run --family class1 --m 3", 0),
+    ("80", "--help", 0),
+    ("80", "run --help", 0),
+    ("80", "table2 --machines 2,3 --format json", 0),
+    ("80", "run", 2),
+    ("80", "frobnicate", 2),
+    ("80", "run --family class1 --m 3 --seed 9", 2),
+    ("50", "run --help", 0),
+    ("50", "run --family class1 --m x", 2),
+    ("50", "table2 --machines ,", 2),
+    ("50", "table2 --machines 2 --seed 5", 2),
+    ("50", "verify --trials 0", 2),
+    ("50", "verify --trials 5 --seed 3", 0),
+    ("50", "worst-order --family class2 --m 2", 0),
+    ("50", "run --family class2 --m 3 --format csv", 0),
+    ("50", "--help", 0),
+    ("80", "run --family class1 --m 3", 0),
+    ("80", "table2 --machines 2,3 --format json", 0),
+    ("80", "worst-order --help", 0),
+    ("80", "run --family class1 --m x", 2),
 ]
 
 
 def _run_corpus(monkeypatch, capsys) -> list[tuple]:
     results = []
-    for columns, argv in PARSER_CORPUS:
+    for columns, argv, _ in PARSER_CORPUS:
         monkeypatch.setenv("COLUMNS", columns)
         try:
             code = main(argv.split())
@@ -498,9 +516,7 @@ def test_reused_parser_prints_what_a_fresh_parser_prints(monkeypatch, capsys):
     reused = _run_corpus(monkeypatch, capsys)
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert _run_corpus(monkeypatch, capsys) == reused
-    assert [code for code, _, _ in reused] == [
-        0, 0, 0, 0, 2, 2, 2, 0, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 2
-    ]
+    assert [code for code, _, _ in reused] == [code for _, _, code in PARSER_CORPUS]
     # help is wrapped to COLUMNS as it stands at each call
     assert reused[2][1] != reused[7][1]
     assert reused[1][1] != reused[15][1]
@@ -813,6 +829,14 @@ def test_worst_order_past_sys_maxsize_orders(tmp_path, capsys):
     assert first.out.startswith("orders examined: 30 (sampled)\n")
     assert main(argv) == 0
     assert capsys.readouterr().out == first.out
+
+
+def test_console_script_runs_main():
+    # pip writes the `listsched` script as sys.exit(main()) for this binding,
+    # so the tests of main here are tests of the installed script
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts == 'listsched = "listsched.cli:main"'
 
 
 def test_module_entry_point():

@@ -517,8 +517,19 @@ def test_verify_bound_matches_the_oracle_on_every_trial(
     that cannot replace the witness gives the summary of running the
     oracle on every trial; a policy off the kernel gives it exactly."""
     args = (trials, max_n, max_m, (lo, lo + span), seed, policy)
-    with mock.patch.object(harness, "DEFAULT_NODE_BUDGET", budget):
+    budgets = []
+
+    def recording_opt_exact(instance, node_budget=harness.DEFAULT_NODE_BUDGET, *rest):
+        budgets.append(node_budget)
+        return opt_exact(instance, node_budget, *rest)
+
+    with (
+        mock.patch.object(harness, "DEFAULT_NODE_BUDGET", budget),
+        mock.patch.object(harness, "opt_exact", recording_opt_exact),
+    ):
         summary, want = verify_bound(*args), reference_verify(*args)
+    # the drawn budget is the one every oracle call of both runs got
+    assert set(budgets) == {budget}
     assert (summary.trials, summary.violations) == (want.trials, want.violations)
     got_witness, want_witness = summary.witness_report, want.witness_report
     assert got_witness.ratio == want_witness.ratio
