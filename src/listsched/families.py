@@ -59,8 +59,8 @@ class GeneratedFamily(NamedTuple):
         return ArrivalOrder.as_listed(self.instance)
 
 
-# Building and scoring a family peaks at about 73 bytes a job (tracemalloc,
-# class2 at m=300 and m=1000; a Tier-1 test holds it under 100), so this
+# Building and scoring a family peaks at about 25 bytes a job (tracemalloc,
+# class2 at m=300 and m=1000; a Tier-1 test holds it under 40), so this
 # cap, checked before any job is built, keeps one under 1 GB.
 _MAX_JOBS = 10_000_000
 

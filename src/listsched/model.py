@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import chain, repeat
 from math import gcd, isqrt, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -408,18 +408,25 @@ def _column(values: Sequence, codes: Sequence[int], counts: Optional[Sequence]) 
 
 
 class Lanes(NamedTuple):
-    """An instance's job sizes lowered once, as a column aligned with job_ids.
+    """An instance's job sizes lowered once, as a column aligned with job_ids
+    and as a tally of the column's distinct values.
 
     When every size is rational, each becomes an int count of 1/scale
     units (scale is the least common denominator), so loads add and compare
     as plain ints; otherwise the sizes stay Time and scale is 0. Lane values
     of either kind support exactly + and the comparisons, and time() turns
-    a load back into a Time at the edge.
+    a load back into a Time at the edge. The tally lists each distinct lane
+    value once, largest first, with its job count, so a total, the largest
+    size or the sizes largest first read a family's few sizes, not its m^2
+    jobs: _column(distinct, range(len(distinct)), counts) is the column
+    sorted largest first.
     """
 
     sizes: tuple  # the lane value of each job, in job_ids order
     zero: Union[int, Time]
     scale: int
+    distinct: tuple  # each lane value once, largest first
+    counts: tuple  # counts[k] jobs have the lane value distinct[k]
 
     def time(self, value: Union[int, Time]) -> Time:
         return Time._make(value, 0, self.scale) if self.scale else value
@@ -428,10 +435,24 @@ class Lanes(NamedTuple):
     def lower(cls, values: Sequence[Time], codes: Sequence[int], counts) -> "Lanes":
         """The one rule that lowers sizes: the lanes of _column(values, codes, counts)."""
         if any(value._b for value in values):
-            return cls(_column(values, codes, counts), Time(0), 0)
-        scale = lcm(*{value._d for value in values})
-        lane = [value._a * (scale // value._d) for value in values]
-        return cls(_column(lane, codes, counts), 0, scale)
+            lane, zero, scale = values, Time(0), 0
+        else:
+            scale = lcm(*{value._d for value in values})
+            lane, zero = [value._a * (scale // value._d) for value in values], 0
+        # each code's job count; then, sorted by value, two codes of one
+        # value ("1/2" and Fraction(1, 2)) merge by comparison, as a Time
+        # lane is never hashed
+        weight = [0] * len(values)
+        for code, n in zip(codes, counts or repeat(1)):
+            weight[code] += n
+        distinct, tally = [], []
+        for v, n in sorted(zip(lane, weight), key=itemgetter(0), reverse=True):
+            if distinct and distinct[-1] == v:
+                tally[-1] += n
+            else:
+                distinct.append(v)
+                tally.append(n)
+        return cls(_column(lane, codes, counts), zero, scale, tuple(distinct), tuple(tally))
 
 
 # the types Job turns into a Time; a float or Decimal may equal one of them
@@ -454,20 +475,20 @@ def _check_count(name: str, value: object, low: int, high: Optional[int] = None)
 class Instance(_Frozen):
     """A job list (in listed order) together with the machine count.
 
-    An instance is exactly four columns, all set when it is built: job_ids,
+    An instance is exactly four columns, all set when it is built: the ids,
     sizes (each a Time), machines, and lanes, the sizes lowered for the
-    greedy kernel and the oracle, in job_ids order; on sqrt(2) lanes sizes
-    is the lane tuple itself. Nothing is cached later: jobs, job() and
-    iteration build Job views from the columns on each call.
-    Instance(jobs, machines) takes Job objects and keeps only their
-    columns. A copy or an unpickled instance is rebuilt and checked by a
-    constructor: from_sizes when its ids are 1..n, else Instance(jobs,
-    machines).
+    greedy kernel and the oracle, in id order, with their tally; on sqrt(2)
+    lanes sizes is the lane tuple itself. from_sizes and _from_runs store
+    the ids 1..n as range(1, n + 1); Instance(jobs, machines) takes Job
+    objects and keeps only their columns, the ids as a tuple. Nothing is
+    cached later: job_ids (always a tuple), jobs, job() and iteration are
+    built from the columns on each call. A copy or an unpickled instance is
+    rebuilt and checked by a constructor: from_sizes when its ids are 1..n,
+    else Instance(jobs, machines).
     """
 
-    __slots__ = ("job_ids", "sizes", "machines", "lanes")
+    __slots__ = ("_ids", "sizes", "machines", "lanes")
     __match_args__ = ("job_ids", "sizes", "machines")
-    job_ids: tuple[int, ...]
     sizes: tuple[Time, ...]
     machines: int
     lanes: Lanes
@@ -486,7 +507,7 @@ class Instance(_Frozen):
     def from_sizes(cls, sizes: Sequence[TimeLike], machines: int) -> "Instance":
         """Build an instance with ids 1..n assigned in listed order."""
         self = object.__new__(cls)
-        self._store(tuple(range(1, len(sizes) + 1)), sizes, machines)
+        self._store(range(1, len(sizes) + 1), sizes, machines)
         return self
 
     @classmethod
@@ -495,12 +516,12 @@ class Instance(_Frozen):
         stands for count >= 1 consecutive jobs of that size."""
         counts, sizes = zip(*runs)
         self = object.__new__(cls)
-        self._store(tuple(range(1, sum(counts) + 1)), sizes, machines, counts)
+        self._store(range(1, sum(counts) + 1), sizes, machines, counts)
         return self
 
     def _store(
         self,
-        ids: tuple,
+        ids: Sequence[int],
         sizes: Sequence[TimeLike],
         machines: int,
         counts: Optional[Sequence[int]] = None,
@@ -510,7 +531,9 @@ class Instance(_Frozen):
         Families reuse a handful of sizes thousands of times, so each
         distinct size is converted, checked and lowered once. One pass over
         a size table codes every size, hashing each once: a missing size is
-        entered with the next code, the table's own length. Given counts,
+        entered with the next code, the table's own length (the table drops
+        that bound method once every size is coded, so reference counting
+        alone frees it). Given counts,
         sizes[k] is the size of a run of counts[k] jobs: the run's size is
         coded once, and each column repeats the run's value counts[k] times.
         """
@@ -521,6 +544,7 @@ class Instance(_Frozen):
         table = defaultdict()
         table.default_factory = table.__len__
         codes = list(map(table.__getitem__, sizes))
+        table.default_factory = None
         distinct = []
         for code, s in enumerate(table):
             size = as_time(s)
@@ -547,44 +571,61 @@ class Instance(_Frozen):
         return type(self), (self.jobs, self.machines)
 
     @property
+    def job_ids(self) -> tuple[int, ...]:
+        return tuple(self._ids)
+
+    @property
     def jobs(self) -> tuple[Job, ...]:
-        return tuple(map(Job, self.job_ids, self.sizes))
+        return tuple(map(Job, self._ids, self.sizes))
 
     def job(self, job_id: int) -> Job:
         try:
-            k = self.job_ids.index(job_id)
+            k = self._ids.index(job_id)
         except ValueError:
             raise KeyError(job_id) from None
-        return Job(self.job_ids[k], self.sizes[k])
+        return Job(self._ids[k], self.sizes[k])
 
     def __len__(self) -> int:
-        return len(self.job_ids)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Job]:
-        return map(Job, self.job_ids, self.sizes)
+        return map(Job, self._ids, self.sizes)
 
 
 class ArrivalOrder(_Frozen):
-    """A permutation of an instance's job ids, giving the arrival sequence."""
+    """A permutation of an instance's job ids, giving the arrival sequence.
 
-    __slots__ = __match_args__ = ("permutation",)
-    permutation: tuple[int, ...]
+    permutation always reads as a tuple; a range is stored as it is and the
+    tuple built on read, as Instance does with its ids.
+    """
+
+    __slots__ = ("_ids",)
+    __match_args__ = ("permutation",)
 
     def __init__(self, permutation: Iterable[int]):
-        object.__setattr__(self, "permutation", tuple(permutation))
+        if type(permutation) is not range:
+            permutation = tuple(permutation)
+        object.__setattr__(self, "_ids", permutation)
+
+    @property
+    def permutation(self) -> tuple[int, ...]:
+        return tuple(self._ids)
 
     @classmethod
     def as_listed(cls, instance: Instance) -> "ArrivalOrder":
-        return cls(instance.job_ids)
+        """The jobs in listed order, holding the instance's stored ids
+        themselves (its range 1..n, or its id tuple): the greedy kernel
+        knows the order by them and reads the lane column as it is."""
+        return cls(instance._ids)
 
     def covers(self, instance: Instance) -> bool:
         """True when this is a permutation of exactly the instance's job ids."""
-        return len(self.permutation) == len(instance) and sorted(
-            self.permutation
-        ) == sorted(instance.job_ids)
+        return len(self._ids) == len(instance) and sorted(self._ids) == sorted(
+            instance._ids
+        )
 
     def __len__(self) -> int:
-        return len(self.permutation)
+        return len(self._ids)
 
 
 class Schedule(NamedTuple):

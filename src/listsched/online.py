@@ -10,7 +10,7 @@ import json
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator, Sequence
 from heapq import heapify, heapreplace
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from typing import NamedTuple, Optional
 
 from .model import ArrivalOrder, Instance, Job, Schedule, Time, format_time
@@ -28,15 +28,17 @@ __all__ = [
 ]
 
 
-def greedy(sizes, loads: list, high: bool = False, steps=None) -> list:
+def greedy(sizes, loads: list, high: bool = False, steps=None, counts=None) -> list:
     """The greedy kernel: place each size on a least-loaded machine in turn.
 
     sizes is a sized sequence of lane sizes in arrival order; loads holds
     every machine's starting load and is updated in place and returned.
-    Equal loads go to the lowest machine index, or the highest when high is
-    set. Sizes and loads may be ints or Time: the kernel only adds and
-    compares them. When steps is a list, one (machine, new_load) pair per
-    placement is appended to it, machine 1-based.
+    Given counts, sizes[k] stands for a run of counts[k] consecutive items
+    of that size, as in model._column. Equal loads go to the lowest machine
+    index, or the highest when high is set. Sizes and loads may be ints or
+    Time: the kernel only adds and compares them. When steps is a list, one
+    (machine, new_load) pair per placement is appended to it, machine
+    1-based.
 
     With no steps and int loads, a run of at least 8*m consecutive equal
     positive int sizes is placed in bulk by water-filling, with the loads
@@ -47,7 +49,13 @@ def greedy(sizes, loads: list, high: bool = False, steps=None) -> list:
     heap = [(load, -k if high else k) for k, load in enumerate(loads)]
     heapify(heap)
     bulk = _BULK_RUN * len(loads)
-    if steps is not None or type(loads[0]) is not int or len(sizes) < bulk:
+    if (
+        steps is not None
+        or type(loads[0]) is not int
+        or counts is None and len(sizes) < bulk
+    ):
+        if counts is not None:
+            sizes = chain.from_iterable(map(repeat, sizes, counts))
         for size in sizes:
             load, key = heap[0]
             load = load + size
@@ -55,8 +63,11 @@ def greedy(sizes, loads: list, high: bool = False, steps=None) -> list:
             if steps is not None:
                 steps.append((abs(key) + 1, load))
     else:
-        for size, run in groupby(sizes):
-            count = len(list(run))
+        if counts is None:
+            runs = ((size, len(list(run))) for size, run in groupby(sizes))
+        else:
+            runs = zip(sizes, counts)
+        for size, count in runs:
             if count >= bulk and type(size) is int and size > 0:
                 heap = _water_fill(heap, size, count)
                 continue
@@ -223,21 +234,22 @@ def _kernel_high(policy: Optional[OnlinePolicy]) -> Optional[bool]:
 def _place(instance, order, policy, steps) -> list:
     """Final loads and steps in lane values; a policy's choose sees Time loads.
 
-    The listed order (its permutation is the job_ids tuple itself) is a
-    permutation by construction, so the kernel with no steps reads the
-    lane column as it is. Every other run checks the order and looks up
-    the sizes through its ids.
+    The listed order holds the instance's stored ids themselves (its range
+    1..n or its id tuple, by identity), so it is a permutation by
+    construction and the kernel with no steps reads the lane column as it
+    is, with no per-job check. Every other run checks the order and looks
+    up the sizes through its ids.
     """
-    m, lanes = instance.machines, instance.lanes
+    m, lanes, ids = instance.machines, instance.lanes, instance._ids
     high = _kernel_high(policy)
-    if high is not None and steps is None and order.permutation is instance.job_ids:
+    if high is not None and steps is None and order._ids is ids:
         return greedy(lanes.sizes, [lanes.zero] * m, high)
     if not order.covers(instance):
         raise ValueError("arrival order is not a permutation of the instance's jobs")
     if high is None:
-        pair_of = dict(zip(instance.job_ids, zip(instance, lanes.sizes)))
-        return _choose_each(order.permutation, pair_of, instance, policy, steps)
-    sizes = map(dict(zip(instance.job_ids, lanes.sizes)).__getitem__, order.permutation)
+        pair_of = dict(zip(ids, zip(instance, lanes.sizes)))
+        return _choose_each(order._ids, pair_of, instance, policy, steps)
+    sizes = map(dict(zip(ids, lanes.sizes)).__getitem__, order._ids)
     return greedy(list(sizes), [lanes.zero] * m, high, steps)
 
 

@@ -8,7 +8,9 @@ the structured families also have closed-form optima (opt_structured).
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from itertools import chain, repeat
+from operator import mul
+from typing import NamedTuple, Optional, Sequence
 
 from .model import ArrivalOrder, Instance, Schedule, Time, _check_count
 from .online import greedy, run_online
@@ -50,21 +52,28 @@ class OptResult(NamedTuple):
         return self.kind != OPT_LOWER_BOUND_ONLY
 
 
-def graham_bracket(sizes: Sequence, m: int) -> tuple:
+def graham_bracket(sizes: Sequence, m: int, counts: Optional[Sequence] = None) -> tuple:
     """Graham's bracket (lb, ub) on a lane column: every schedule ends at or
     after lb = max(total/m, largest); a list schedule's last job starts by
     (total - its size)/m, so it ends by ub = (total - largest)/m + largest.
-    Int lanes round lb up and ub down (every makespan there is whole)."""
-    total, largest = sum(sizes), max(sizes)
+    Int lanes round lb up and ub down (every makespan there is whole).
+    Given counts, sizes is a tally, largest first, as Lanes keeps it:
+    counts[k] jobs have the size sizes[k]."""
+    if counts is None:
+        total, largest = sum(sizes), max(sizes)
+    else:
+        total, largest = sum(map(mul, sizes, counts)), sizes[0]
     if isinstance(largest, int):
         return max(-(-total // m), largest), (total - largest) // m + largest
     return max(largest, total / m), (total - largest) / m + largest
 
 
 def lower_bound(instance: Instance) -> Time:
-    """Graham's lb: no schedule of the instance finishes sooner."""
+    """Graham's lb: no schedule of the instance finishes sooner. It reads
+    the lanes' tally, one term per distinct size."""
     lanes = instance.lanes
-    return lanes.time(graham_bracket(lanes.sizes, instance.machines)[0])
+    lb, _ = graham_bracket(lanes.distinct, instance.machines, lanes.counts)
+    return lanes.time(lb)
 
 
 def lpt_order(instance: Instance) -> ArrivalOrder:
@@ -88,7 +97,10 @@ def opt_exact(
 ) -> OptResult:
     """Exact optimal makespan via branch and bound.
 
-    Nodes are placement attempts. If the budget runs out the result
+    LPT's greedy makespan, read from the lanes' tally, is tried first: if
+    it meets lower_bound it is optimal with no node, and only otherwise
+    are the sizes listed, largest first, for the search. Nodes are
+    placement attempts. If the budget runs out the result
     degrades honestly to kind='lower-bound-only' with the load lower
     bound as value. The search is a loop over per-job arrays, so no
     recursion limit caps the number of jobs. It places a job on each
@@ -102,15 +114,17 @@ def opt_exact(
     lb = lower_bound(instance)
     m = instance.machines
     lanes = instance.lanes
-    # the sizes largest first: the LPT order's size sequence, which is all
-    # that its greedy makespan and the search below depend on
-    descending = sorted(lanes.sizes, reverse=True)
-    n = len(descending)
-    best = lanes.time(max(greedy(descending, [lanes.zero] * m)))
+    # the sizes largest first, the LPT order's size sequence, are all that
+    # its greedy makespan and the search below depend on: the kernel reads
+    # them as the tally's runs, and the search as a list only when it runs
+    lpt = greedy(lanes.distinct, [lanes.zero] * m, counts=lanes.counts)
+    best = lanes.time(max(lpt))
     if best == lb:
         return OptResult(best, OPT_CERTIFIED, 0)
 
-    sizes = list(map(lanes.time, descending))
+    distinct = map(lanes.time, lanes.distinct)
+    sizes = list(chain.from_iterable(map(repeat, distinct, lanes.counts)))
+    n = len(sizes)
     loads = [Time(0)] * m
     # per job: the next machine to try and its load before the job
     next_machine = [0] * n

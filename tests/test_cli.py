@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import ast
 import errno
+import hashlib
 import itertools
 import json
 import os
@@ -185,6 +186,27 @@ def test_the_largest_families_give_the_papers_bounds(capsys):
     assert main(["run", "--family", "class1", "--m", "100", "--format", "csv"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[1:] == ["100,class1,198,100,198/100,1.9800,1.9900,true"]
+
+
+# sha256 over every call's argv, exit code, stdout and stderr in the sweep
+# below, taken before families were scored from the lanes' per-size tally:
+# the sweep's bytes are pinned, not only its values
+SWEEP_DIGEST = "5df7ce5da2f27ddb3d7d4365dff5a8f598a47257095a43d6ebb0d167b8f3d0e6"
+
+
+def test_the_family_sweep_prints_its_pinned_bytes(capsys):
+    """`run --family F --m M` for the four families: json at every m in
+    2..100, text and csv at a stride."""
+    calls = [("json", m) for m in range(2, 101)]
+    calls += [(fmt, m) for fmt in ("text", "csv") for m in range(2, 101, 7)]
+    digest = hashlib.sha256()
+    for family in ("class1", "class2", "faigle", "graham_tight"):
+        for fmt, m in calls:
+            argv = ["run", "--family", family, "--m", str(m), "--format", fmt]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            digest.update(f"{' '.join(argv)}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 def test_run_instance_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -345,7 +345,7 @@ def test_custom_policy_search_builds_each_job_once_and_checks_no_order(monkeypat
 @pytest.mark.parametrize("sizes", [[3, Fraction(1, 2), 3, 2], [1, Time(1, 1), 1, "1/2"]])
 def test_an_instance_is_its_four_columns_before_and_after_use(sizes):
     inst = Instance.from_sizes(sizes, 2)
-    assert Instance.__slots__ == ("job_ids", "sizes", "machines", "lanes")
+    assert Instance.__slots__ == ("_ids", "sizes", "machines", "lanes")
     assert not hasattr(inst, "__dict__")
     before = [getattr(inst, name) for name in Instance.__slots__]
     assert inst.jobs == tuple(inst) == tuple(map(inst.job, inst.job_ids))

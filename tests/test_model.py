@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import errno
+import gc
 import math
 import os
 import pickle
@@ -406,6 +407,24 @@ def test_a_pickled_instance_numbered_1_to_n_stores_each_size_once():
     build, (sizes, machines) = instance.__reduce__()
     with pytest.raises(ValueError, match="^job 9901 must have positive size$"):
         build(sizes[:-1] + (Time(0),), machines)
+
+
+def test_building_an_instance_leaves_no_reference_cycle():
+    """Every constructor frees what it made by reference counting alone, so
+    the cyclic collector finds nothing left of a build; equal sizes of
+    different kinds and repeated runs take the paths that merge them."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            Instance.from_sizes([1, "1/2", Fraction(1, 2), 3], 2)
+            Instance.from_sizes([1, SQRT2, "1 + 1 r2", 2], 3)
+            Instance._from_runs([(3, 1), (2, Fraction(1, 3)), (4, 1)], 2)
+            Instance._from_runs([(5, SQRT2), (1, 2)], 2)
+            Instance((Job(5, 1), Job(2, "1 + 1 r2"), Job(9, 1)), 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("sqrt2", [False, True])

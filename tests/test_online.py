@@ -313,12 +313,13 @@ def test_trace_step_is_a_value():
     assert step == TraceStep(1, 2, (Time(0), Time(0)), (Time(0), Time(1)))
 
 
-def test_the_kernel_reads_the_lane_column_and_the_lpt_list_as_they_are(monkeypatch):
+def test_the_kernel_reads_the_lane_column_and_the_lpt_tally_as_they_are(monkeypatch):
     """The listed order hands the kernel instance.lanes.sizes itself, and
-    opt_exact's LPT pass the descending list it sorted: no per-job copy or
-    lookup sits between a size column and the kernel's run grouping."""
-    seen, sorted_lists = [], []
-    real_groupby = online.groupby
+    opt_exact's LPT pass the lanes' tally as runs: no per-job copy or
+    lookup sits between a size column and the kernel's run grouping, and
+    the certificate neither sorts nor groups the jobs."""
+    seen, sorted_lists, kernel_calls = [], [], []
+    real_groupby, real_greedy = online.groupby, oracle.greedy
 
     def recording_groupby(sizes):
         seen.append(sizes)
@@ -328,11 +329,19 @@ def test_the_kernel_reads_the_lane_column_and_the_lpt_list_as_they_are(monkeypat
         sorted_lists.append(sorted(*args, **kwargs))
         return sorted_lists[-1]
 
+    def recording_greedy(sizes, loads, *args, **kwargs):
+        kernel_calls.append((sizes, kwargs.get("counts")))
+        return real_greedy(sizes, loads, *args, **kwargs)
+
     monkeypatch.setattr(online, "groupby", recording_groupby)
     monkeypatch.setattr(oracle, "sorted", recording_sorted, raising=False)
+    monkeypatch.setattr(oracle, "greedy", recording_greedy)
     instance = gen_class2(20).instance
     online_makespan(instance, ArrivalOrder.as_listed(instance))
     assert len(seen) == 1 and seen[0] is instance.lanes.sizes
-    oracle.opt_exact(instance)
-    assert len(seen) == 2 and any(seen[1] is lpt for lpt in sorted_lists)
-    assert seen[1] == sorted(instance.lanes.sizes, reverse=True)
+    assert oracle.opt_exact(instance).kind == oracle.OPT_CERTIFIED
+    lanes = instance.lanes
+    ((sizes, counts),) = kernel_calls
+    assert sizes is lanes.distinct and counts is lanes.counts
+    assert (sizes, counts) == ((400, 1), (1, 380))
+    assert len(seen) == 1 and sorted_lists == []

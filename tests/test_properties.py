@@ -3,7 +3,8 @@ values, Instance.from_sizes against one Job per size, instance files
 read back, the greedy kernel, its bulk placement of long runs and its
 invariants under any arrival order, the coded order search, rank/unrank,
 the exact oracle against the greedy bound, the lower bound and Graham's
-bracket on int, rational and sqrt(2) sizes, instance digests,
+bracket on int, rational and sqrt(2) sizes, the lanes' per-size tally
+against the column it counts, instance digests,
 verify_bound against a run of the oracle on every trial, instances
 whose ids are not 1..n against their renumbering, and the listed order,
 read by position, against an equal order read through the ids."""
@@ -475,6 +476,53 @@ def test_lower_bound_is_exact_on_sqrt2_sizes(sizes, irrational, m, data):
     _assert_in_graham_bracket(instance, order)
 
 
+@st.composite
+def size_runs(draw) -> list[tuple[int, object]]:
+    """(count, size) runs over a pool of one to three sizes of every kind,
+    so a size recurs in runs that are not adjacent, and equal values of
+    different kinds ("2" and 2) are different codes; some runs are long
+    enough (8m or more) for the kernel to water-fill them."""
+    pool = draw(st.lists(MIXED_SIZES, min_size=1, max_size=3))
+    run = st.tuples(
+        st.one_of(st.integers(1, 4), st.integers(16, 40)), st.sampled_from(pool)
+    )
+    return draw(st.lists(run, min_size=1, max_size=6))
+
+
+@PROPERTY
+@given(size_runs(), st.integers(2, 4))
+def test_the_tally_scores_as_the_column_it_counts(runs, m):
+    """The lanes' tally lists each distinct lane value once, largest first,
+    with its job count, whether the instance was built from its runs or
+    from one size per job. Graham's lb read from it is lower_bound, the
+    kernel placing its runs gives the loads of LPT's sorted column, and
+    opt_exact, which reads both, matches its from_sizes twin down to the
+    node count."""
+    sizes = [size for count, size in runs for _ in range(count)]
+    built = Instance._from_runs(runs, m)
+    listed = Instance.from_sizes(sizes, m)
+    assert built == listed and built.lanes == listed.lanes
+    lanes = built.lanes
+    assert lanes.distinct == tuple(sorted(set(lanes.sizes), reverse=True))
+    assert lanes.counts == tuple(map(lanes.sizes.count, lanes.distinct))
+    assert lower_bound(built) == lanes.time(graham_bracket(lanes.sizes, m)[0])
+    bracket = graham_bracket(lanes.sizes, m)
+    assert graham_bracket(lanes.distinct, m, lanes.counts) == bracket
+    lpt = greedy(sorted(lanes.sizes, reverse=True), [lanes.zero] * m)
+    assert greedy(lanes.distinct, [lanes.zero] * m, counts=lanes.counts) == lpt
+    steps = []
+    assert greedy(lanes.distinct, [lanes.zero] * m, steps=steps, counts=lanes.counts) == lpt
+    assert len(steps) == len(sizes)
+    got, want = opt_exact(built, 300), opt_exact(listed, 300)
+    assert (got.value, got.kind, got.nodes_explored) == (
+        want.value,
+        want.kind,
+        want.nodes_explored,
+    )
+    # LPT meeting the bound is the only way to decide with no node
+    assert (got.nodes_explored == 0) == (lanes.time(max(lpt)) == lower_bound(built))
+
+
 @PROPERTY
 @given(st.lists(FILE_SIZES, min_size=1, max_size=8), st.integers(2, sys.maxsize))
 def test_instance_digest_is_hashlib_sha256_of_the_file_text(sizes, m):
@@ -622,9 +670,9 @@ class Recording(OnlinePolicy):
 def test_listed_order_scores_as_an_equal_order_read_through_ids(
     instance, tie_break, data
 ):
-    """The listed order (whose permutation is the job_ids tuple) is read by
-    position; an equal order that is another object is checked and read
-    through the ids. Both give the same makespan, run and report, with ids
+    """The listed order (which holds the instance's stored ids, a range for
+    ids 1..n) is read by position; an equal order that is another object
+    is checked and read through the ids. Both give the same makespan, run and report, with ids
     1..n and with scattered ids; a custom policy still sees every job, and
     an order that is not a permutation is still refused."""
     n = len(instance)
@@ -633,8 +681,8 @@ def test_listed_order_scores_as_an_equal_order_read_through_ids(
     for inst in (instance, scattered):
         listed = ArrivalOrder.as_listed(inst)
         equal = ArrivalOrder(list(inst.job_ids))
-        assert listed.permutation is inst.job_ids
-        assert equal == listed and equal.permutation is not inst.job_ids
+        assert listed._ids is inst._ids and listed.permutation == inst.job_ids
+        assert equal == listed and equal._ids is not inst._ids
         for policy in (Lsa(tie_break), NamedLsa(tie_break)):
             want = online_makespan(inst, equal, policy)
             assert online_makespan(inst, listed, policy) == want
