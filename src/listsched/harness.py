@@ -203,6 +203,7 @@ def worst_order_search(
     Ties are broken toward the lexicographically smallest job-id order.
     """
     _check_count("enumeration_cap", enumeration_cap, 1)
+    _check_count("seed", seed)
     high, m = _kernel_high(policy), instance.machines
     # Sizes (or ids) become codes 0..k-1 in increasing order: the map is
     # monotone, so lexicographic order, ranks and tie-breaks are theirs.
@@ -336,8 +337,14 @@ def verify_bound(
     oracle. Any other policy runs the oracle on every trial. A trial whose
     ratio exceeds the bound raises BoundViolation with the serialized
     counterexample. Each count goes through model's count rule: trials is
-    an int >= 1, max_n an int in 1..12, max_m an int in 2..4, and
-    size_range (lo, hi) ints with lo >= 1 and hi >= lo.
+    an int >= 1, max_n an int in 1..12, max_m an int in 2..4, size_range
+    (lo, hi) ints with lo >= 1 and hi >= lo, and seed any int.
+
+    A trial is what random.Random(seed) would draw with randint(1, max_n),
+    randint(2, max_m), randint(lo, hi) for each of the n sizes, and
+    shuffle of the ids 1..n, drawn here from getrandbits by the rejection
+    rule those methods end in. CPython seeds with abs(seed), so seed and
+    -seed draw the same trials.
     """
     _check_count("trials", trials, 1)
     _check_count("max_n", max_n, 1, VERIFY_MAX_N)
@@ -345,18 +352,38 @@ def verify_bound(
     lo, hi = size_range
     _check_count("size_range lo", lo, 1)
     _check_count("size_range hi", hi, lo)
-    rng = random.Random(seed)
+    _check_count("seed", seed)
+    # randint and shuffle end in random's _randbelow: for a width w it
+    # draws getrandbits(w.bit_length()) until the value is below w, so a
+    # width of 1 still draws a bit
+    bits = random.Random(seed).getrandbits
+
+    def below(w: int) -> int:
+        k = w.bit_length()
+        r = bits(k)
+        while r >= w:
+            r = bits(k)
+        return r
+
+    width = hi - lo + 1
+    k = width.bit_length()
     high = _kernel_high(policy)
     # the largest ratio over decided trials, and over undecided ones
     best: dict[bool, RatioReport] = {}
     p, q = 0, 1  # the largest decided ratio as ints, 0 before any
     undecided = 0
-    # randrange(a, b + 1) is randint(a, b), one call shallower: the same draws
     for _ in range(trials):
-        n, m = rng.randrange(1, max_n + 1), rng.randrange(2, max_m + 1)
-        sizes = [rng.randrange(lo, hi + 1) for _ in range(n)]
+        n, m = 1 + below(max_n), 2 + below(max_m - 1)
+        sizes = []
+        for _ in range(n):  # inline: a call per size would halve the saving
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            sizes.append(lo + r)
         ids = list(range(1, n + 1))  # the ids Instance.from_sizes gives
-        rng.shuffle(ids)
+        for i in range(n - 1, 0, -1):  # shuffle's swaps
+            j = below(i + 1)
+            ids[i], ids[j] = ids[j], ids[i]
         if high is not None:
             alg = max(greedy(list(map([0, *sizes].__getitem__, ids)), [0] * m, high))
             lb, ub = graham_bracket(sizes, m)

@@ -459,14 +459,16 @@ class Lanes(NamedTuple):
 _EXACT = (Time, int, Fraction, str)
 
 
-def _check_count(name: str, value: object, low: int, high: Optional[int] = None) -> None:
+def _check_count(
+    name: str, value: object, low: Optional[int] = None, high: Optional[int] = None
+) -> None:
     # the one rule for every count a caller hands the library: 0.5 or
     # Fraction(3) would pass a range check, then stop a loop or size a sample
     # as a non-int, or fail far from the call; a bool is an int, so its range
-    # decides
+    # decides; a seed has no range, only the type
     if not isinstance(value, int):
         raise TypeError(f"{name} must be an int, not {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise ValueError(f"{name} must be <= {high}, got {value}")

@@ -98,9 +98,11 @@ def reference_verify(
 ) -> BoundCheckSummary:
     """verify_bound's summary with the oracle run on every trial.
 
-    It draws what verify_bound draws, but decides each trial by
+    It draws its trials with random's own randint and shuffle, independent
+    of verify_bound's getrandbits route, and decides each by
     competitive_ratio alone, with no certificate and no skipped trial: it
-    is the reference the certificate path is checked against.
+    is the reference the draws and the certificate path are checked
+    against.
     """
     rng = random.Random(seed)
     best: dict = {}

@@ -57,6 +57,18 @@ def test_readme_console_examples(argv, shown, capsys):
     assert out == shown
 
 
+def test_a_seed_and_its_negation_draw_the_same_trials(capsys):
+    # CPython seeds a Random with |S|, so --seed -42 prints the README's
+    # --seed 42 run
+    (shown,) = (
+        shown
+        for argv, shown in README_EXAMPLES
+        if argv == ["listsched", "verify", "--trials", "1000", "--seed", "42"]
+    )
+    assert main(["verify", "--trials", "1000", "--seed", "-42"]) == 0
+    assert capsys.readouterr().out.splitlines() == shown
+
+
 def test_readme_library_example():
     """Run the README's Library block: a bare comparison must hold, and any
     other bare expression must equal the value its comment shows."""

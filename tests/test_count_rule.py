@@ -156,6 +156,36 @@ def test_a_fractional_rank_is_not_unranked():
         unrank_permutation([1, 2], 0.5)
 
 
+# the library's seeded calls; INSTANCE's 10 orders are past a cap of 1, so
+# worst_order_search samples
+SEEDED = {
+    "verify_bound": lambda seed: verify_bound(1, seed=seed),
+    "worst_order_search": lambda seed: worst_order_search(
+        INSTANCE, enumeration_cap=1, seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, "7"])
+@pytest.mark.parametrize("call", SEEDED)
+def test_a_seed_that_is_not_an_int_is_refused_before_any_draw(call, value, monkeypatch):
+    # 0.5 drew the trials of hash(0.5) = 2**60, 1.0 those of seed 1, and a
+    # string those of its sha512
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{call}: work began before the check")
+
+    monkeypatch.setattr(harness, "_kernel_high", reached)
+    with pytest.raises(TypeError) as raised:
+        SEEDED[call](value)
+    assert str(raised.value) == f"seed must be an int, not {value!r}"
+
+
+@pytest.mark.parametrize("seed", [True, -1, 2**70, -(2**70)])
+@pytest.mark.parametrize("call", SEEDED)
+def test_a_seed_of_any_sign_and_size_is_taken(call, seed):
+    SEEDED[call](seed)
+
+
 # each CLI integer option but --seed: the argv before its value, and the
 # library parameter it feeds, as its name in the rule's message and its bounds
 CLI_COUNTS = {

@@ -483,6 +483,42 @@ def test_verify_bound_single_job_instances():
     assert summary.witness_report.ratio == 1
 
 
+@pytest.mark.parametrize("seed", [0, -7, 2**70])
+@pytest.mark.parametrize("max_n, max_m", [(1, 2), (12, 4), (1, 4), (12, 2)])
+@pytest.mark.parametrize(
+    "size_range", [(7, 7), (1, 2**32 - 1), (1, 2**32), (1, 2**32 + 1), (1, 2**64 + 1)]
+)
+def test_verify_bound_draws_the_trials_of_randint_and_shuffle(
+    size_range, max_n, max_m, seed, monkeypatch
+):
+    # widths of 1 (one bit still drawn), 2**32 - 1 (one getrandbits word),
+    # 2**32 (a power of two, one bit longer than w - 1) and past it (two and
+    # three words), against trials drawn by random's own randint and shuffle
+    trials = 40
+    rng, expected = random.Random(seed), []
+    for _ in range(trials):
+        n, m = rng.randint(1, max_n), rng.randint(2, max_m)
+        sizes = [rng.randint(*size_range) for _ in range(n)]
+        ids = list(range(1, n + 1))
+        rng.shuffle(ids)
+        expected.append((m, [sizes[i - 1] for i in ids]))
+
+    def slow_path(*args, **kwargs):
+        raise AssertionError("verify_bound draws from getrandbits alone")
+
+    for name in ("randrange", "randint", "shuffle"):
+        monkeypatch.setattr(random.Random, name, slow_path)
+    drawn, kernel = [], harness.greedy
+
+    def recording(sizes, loads, *args, **kwargs):
+        drawn.append((len(loads), list(sizes)))
+        return kernel(sizes, loads, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "greedy", recording)
+    verify_bound(trials, max_n, max_m, size_range, seed)
+    assert drawn == expected
+
+
 def test_verify_bound_parameter_validation():
     with pytest.raises(ValueError):
         verify_bound(0)
