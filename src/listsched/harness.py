@@ -386,7 +386,7 @@ def verify_bound(
             ids[i], ids[j] = ids[j], ids[i]
         if high is not None:
             alg = max(greedy(list(map([0, *sizes].__getitem__, ids)), [0] * m, high))
-            lb, ub = graham_bracket(sizes, m)
+            lb, ub = graham_bracket(sum(sizes), max(sizes), m)
             if not lb <= alg <= ub:
                 raise RuntimeError(
                     f"greedy makespan {alg} on m={m} is outside Graham's "
@@ -396,10 +396,7 @@ def verify_bound(
             if alg * q <= p * lb:
                 continue
         instance = Instance.from_sizes(sizes, m)
-        # the module's budget, read when verify runs, not when it was defined
-        report = competitive_ratio(
-            instance, ArrivalOrder(tuple(ids)), policy, node_budget=DEFAULT_NODE_BUDGET
-        )
+        report = competitive_ratio(instance, ArrivalOrder(tuple(ids)), policy)
         satisfied = report.bound_satisfied
         if satisfied is False:
             raise BoundViolation(report)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import chain, repeat
 from math import gcd, isqrt, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mul
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -428,6 +428,10 @@ class Lanes(NamedTuple):
     distinct: tuple  # each lane value once, largest first
     counts: tuple  # counts[k] jobs have the lane value distinct[k]
 
+    @property
+    def total(self) -> Union[int, Time]:
+        return sum(map(mul, self.distinct, self.counts), self.zero)
+
     def time(self, value: Union[int, Time]) -> Time:
         return Time._make(value, 0, self.scale) if self.scale else value
 
@@ -664,7 +668,7 @@ def build_schedule(instance: Instance, assignment: Mapping[int, int]) -> Schedul
 
 def total_load(instance: Instance) -> Time:
     lanes = instance.lanes
-    return lanes.time(sum(lanes.sizes, lanes.zero))
+    return lanes.time(lanes.total)
 
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> Optional[str]:

@@ -9,8 +9,7 @@ the structured families also have closed-form optima (opt_structured).
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from .model import ArrivalOrder, Instance, Schedule, Time, _check_count
 from .online import greedy, run_online
@@ -52,17 +51,12 @@ class OptResult(NamedTuple):
         return self.kind != OPT_LOWER_BOUND_ONLY
 
 
-def graham_bracket(sizes: Sequence, m: int, counts: Optional[Sequence] = None) -> tuple:
-    """Graham's bracket (lb, ub) on a lane column: every schedule ends at or
-    after lb = max(total/m, largest); a list schedule's last job starts by
+def graham_bracket(total, largest, m: int) -> tuple:
+    """Graham's bracket (lb, ub) in lane units, for jobs of this total and
+    largest size on m machines: every schedule ends at or after
+    lb = max(total/m, largest); a list schedule's last job starts by
     (total - its size)/m, so it ends by ub = (total - largest)/m + largest.
-    Int lanes round lb up and ub down (every makespan there is whole).
-    Given counts, sizes is a tally, largest first, as Lanes keeps it:
-    counts[k] jobs have the size sizes[k]."""
-    if counts is None:
-        total, largest = sum(sizes), max(sizes)
-    else:
-        total, largest = sum(map(mul, sizes, counts)), sizes[0]
+    Int lanes round lb up and ub down (every makespan there is whole)."""
     if isinstance(largest, int):
         return max(-(-total // m), largest), (total - largest) // m + largest
     return max(largest, total / m), (total - largest) / m + largest
@@ -72,7 +66,7 @@ def lower_bound(instance: Instance) -> Time:
     """Graham's lb: no schedule of the instance finishes sooner. It reads
     the lanes' tally, one term per distinct size."""
     lanes = instance.lanes
-    lb, _ = graham_bracket(lanes.distinct, instance.machines, lanes.counts)
+    lb, _ = graham_bracket(lanes.total, lanes.distinct[0], instance.machines)
     return lanes.time(lb)
 
 

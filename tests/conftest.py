@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import random
 
-from listsched import harness
 from listsched.harness import BoundCheckSummary, BoundViolation, competitive_ratio
 from listsched.model import ArrivalOrder, Instance, Schedule, Time
 from listsched.online import TraceStep
@@ -109,12 +108,7 @@ def reference_verify(
     undecided = 0
     for _ in range(trials):
         instance = random_instance(rng, max_n, max_m, *size_range)
-        report = competitive_ratio(
-            instance,
-            random_order(rng, instance),
-            policy,
-            node_budget=harness.DEFAULT_NODE_BUDGET,  # the budget verify_bound uses
-        )
+        report = competitive_ratio(instance, random_order(rng, instance), policy)
         if report.bound_satisfied is False:
             raise BoundViolation(report)
         decided = report.bound_satisfied is not None

@@ -676,7 +676,7 @@ def test_verify_reports_clean_run(capsys):
 def test_verify_reports_undecided_trials_on_stderr_only(monkeypatch, capsys):
     assert main(["verify", "--trials", "40", "--seed", "3"]) == 0
     assert capsys.readouterr().err == ""
-    monkeypatch.setattr(harness, "DEFAULT_NODE_BUDGET", 0)
+    monkeypatch.setattr(harness, "opt_exact", lambda instance, budget: opt_exact(instance, 0))
     assert main(["verify", "--trials", "40", "--seed", "3"]) == 0
     captured = capsys.readouterr()
     undecided = verify_bound(40, seed=3).undecided

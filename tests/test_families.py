@@ -18,7 +18,7 @@ from listsched.families import (
     save_family,
 )
 from listsched.harness import competitive_ratio
-from listsched.model import Instance, Time, load_instance
+from listsched.model import Instance, Time, load_instance, total_load
 from listsched.online import Lsa, online_makespan, run_online
 from listsched.oracle import graham_bracket, opt_exact
 
@@ -36,12 +36,17 @@ def test_graham_bracket_gives_every_familys_predictions():
     """On each family at every m up to 100, Graham's bracket (lb, ub) of
     the lane column is the predicted optimum and the predicted greedy
     makespan, which greedy meets on the listed order. So ub/lb gives the
-    paper's bounds: 2 - 2/m on class1, 2 - (m^2 - m + 1)/m^2 on class2."""
+    paper's bounds: 2 - 2/m on class1, 2 - (m^2 - m + 1)/m^2 on class2.
+    The lanes' tally gives the column's total (faigle's on sqrt(2) lanes)
+    without reading the column."""
     for m in range(2, 101):
         for gen in (gen_class1, gen_class2, gen_graham_tight, gen_faigle):
             fam = gen(m)
             lanes = fam.instance.lanes
-            lb, ub = map(lanes.time, graham_bracket(lanes.sizes, m))
+            assert total_load(fam.instance) == sum(fam.instance.sizes, Time(0))
+            assert lanes.total == sum(lanes.sizes)
+            assert lanes._replace(sizes=()).total == lanes.total
+            lb, ub = map(lanes.time, graham_bracket(sum(lanes.sizes), max(lanes.sizes), m))
             assert lb == fam.predicted_opt, (fam.family_tag, m)
             assert ub == fam.predicted_lsa, (fam.family_tag, m)
             assert ub == online_makespan(fam.instance, fam.worst_order), (fam.family_tag, m)

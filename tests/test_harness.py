@@ -440,7 +440,7 @@ def test_verify_bound_counts_undecided_trials(monkeypatch):
     assert verify_bound(200, seed=42).undecided == 0
     # with no search budget, a trial is decided only when LPT meets the
     # load bound; the rest keep a lower bound as their optimum
-    monkeypatch.setattr(harness, "DEFAULT_NODE_BUDGET", 0)
+    monkeypatch.setattr(harness, "opt_exact", lambda instance, budget: opt_exact(instance, 0))
     summary = verify_bound(200, seed=42)
     assert 0 < summary.undecided < 200
     assert summary.violations == 0
@@ -468,7 +468,7 @@ def test_verify_bound_counts_undecided_trials(monkeypatch):
 
 
 def test_verify_bound_witness_when_no_trial_is_decided(monkeypatch):
-    monkeypatch.setattr(harness, "DEFAULT_NODE_BUDGET", 0)
+    monkeypatch.setattr(harness, "opt_exact", lambda instance, budget: opt_exact(instance, 0))
     # seed 13's one trial puts sizes 3 4 3 4 3 on 3 machines. Its optimum,
     # LPT's 7, is above the whole-unit bound ceil(17/3) = 6, so no
     # certificate decides it, and with no budget the oracle keeps the bound

@@ -416,7 +416,7 @@ def _assert_in_graham_bracket(instance: Instance, order: ArrivalOrder) -> None:
     in lane units, for Graham's bracket of the instance's lane column; and
     lower_bound is its lb."""
     lanes = instance.lanes
-    lb, ub = graham_bracket(lanes.sizes, instance.machines)
+    lb, ub = graham_bracket(sum(lanes.sizes), max(lanes.sizes), instance.machines)
     assert lower_bound(instance) == lanes.time(lb)
 
     def lane(makespan: Time):
@@ -494,8 +494,9 @@ def size_runs(draw) -> list[tuple[int, object]]:
 def test_the_tally_scores_as_the_column_it_counts(runs, m):
     """The lanes' tally lists each distinct lane value once, largest first,
     with its job count, whether the instance was built from its runs or
-    from one size per job. Graham's lb read from it is lower_bound, the
-    kernel placing its runs gives the loads of LPT's sorted column, and
+    from one size per job. Its total is the column's sum, lower_bound is
+    the lb of the column's Graham bracket, the kernel placing its runs
+    gives the loads of LPT's sorted column, and
     opt_exact, which reads both, matches its from_sizes twin down to the
     node count."""
     sizes = [size for count, size in runs for _ in range(count)]
@@ -505,9 +506,10 @@ def test_the_tally_scores_as_the_column_it_counts(runs, m):
     lanes = built.lanes
     assert lanes.distinct == tuple(sorted(set(lanes.sizes), reverse=True))
     assert lanes.counts == tuple(map(lanes.sizes.count, lanes.distinct))
-    assert lower_bound(built) == lanes.time(graham_bracket(lanes.sizes, m)[0])
-    bracket = graham_bracket(lanes.sizes, m)
-    assert graham_bracket(lanes.distinct, m, lanes.counts) == bracket
+    assert lower_bound(built) == lanes.time(
+        graham_bracket(sum(lanes.sizes), max(lanes.sizes), m)[0]
+    )
+    assert lanes.total == sum(lanes.sizes)
     lpt = greedy(sorted(lanes.sizes, reverse=True), [lanes.zero] * m)
     assert greedy(lanes.distinct, [lanes.zero] * m, counts=lanes.counts) == lpt
     steps = []
@@ -567,17 +569,15 @@ def test_verify_bound_matches_the_oracle_on_every_trial(
     args = (trials, max_n, max_m, (lo, lo + span), seed, policy)
     budgets = []
 
-    def recording_opt_exact(instance, node_budget=harness.DEFAULT_NODE_BUDGET, *rest):
+    def recording_opt_exact(instance, node_budget, *rest):
+        # the oracle runs at the drawn budget; the one it was handed is kept
         budgets.append(node_budget)
-        return opt_exact(instance, node_budget, *rest)
+        return opt_exact(instance, budget, *rest)
 
-    with (
-        mock.patch.object(harness, "DEFAULT_NODE_BUDGET", budget),
-        mock.patch.object(harness, "opt_exact", recording_opt_exact),
-    ):
+    with mock.patch.object(harness, "opt_exact", recording_opt_exact):
         summary, want = verify_bound(*args), reference_verify(*args)
-    # the drawn budget is the one every oracle call of both runs got
-    assert set(budgets) == {budget}
+    # every oracle call of both runs was handed the library's default budget
+    assert set(budgets) == {harness.DEFAULT_NODE_BUDGET}
     assert (summary.trials, summary.violations) == (want.trials, want.violations)
     got_witness, want_witness = summary.witness_report, want.witness_report
     assert got_witness.ratio == want_witness.ratio
