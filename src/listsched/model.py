@@ -481,21 +481,20 @@ def _check_count(
 class Instance(_Frozen):
     """A job list (in listed order) together with the machine count.
 
-    An instance is exactly four columns, all set when it is built: the ids,
-    sizes (each a Time), machines, and lanes, the sizes lowered for the
-    greedy kernel and the oracle, in id order, with their tally; on sqrt(2)
-    lanes sizes is the lane tuple itself. from_sizes and _from_runs store
+    An instance is exactly three columns, all set when it is built: the ids,
+    machines, and lanes, the sizes lowered for the greedy kernel and the
+    oracle, in id order, with their tally. from_sizes and _from_runs store
     the ids 1..n as range(1, n + 1); Instance(jobs, machines) takes Job
     objects and keeps only their columns, the ids as a tuple. Nothing is
-    cached later: job_ids (always a tuple), jobs, job() and iteration are
+    cached later: job_ids (always a tuple), sizes (one Time per distinct
+    size; on sqrt(2) lanes the lane tuple), jobs, job() and iteration are
     built from the columns on each call. A copy or an unpickled instance is
     rebuilt and checked by a constructor: from_sizes when its ids are 1..n,
     else Instance(jobs, machines).
     """
 
-    __slots__ = ("_ids", "sizes", "machines", "lanes")
+    __slots__ = ("_ids", "machines", "lanes")
     __match_args__ = ("job_ids", "sizes", "machines")
-    sizes: tuple[Time, ...]
     machines: int
     lanes: Lanes
 
@@ -532,7 +531,7 @@ class Instance(_Frozen):
         machines: int,
         counts: Optional[Sequence[int]] = None,
     ) -> None:
-        """Check the sizes and the machine count and set the four columns.
+        """Check the sizes and the machine count and set the three columns.
 
         Families reuse a handful of sizes thousands of times, so each
         distinct size is converted, checked and lowered once. One pass over
@@ -541,7 +540,7 @@ class Instance(_Frozen):
         that bound method once every size is coded, so reference counting
         alone frees it). Given counts,
         sizes[k] is the size of a run of counts[k] jobs: the run's size is
-        coded once, and each column repeats the run's value counts[k] times.
+        coded once, and the lane column repeats its value counts[k] times.
         """
         # a float equal to an exact size before it would pass as that size
         if not all(issubclass(kind, _EXACT) for kind in set(map(type, sizes))):
@@ -564,9 +563,7 @@ class Instance(_Frozen):
         if not ids:
             raise ValueError("an instance needs at least one job")
         lanes = Lanes.lower(distinct, codes, counts)
-        # on sqrt(2) lanes the lane column is the Time column
-        sizes = _column(distinct, codes, counts) if lanes.scale else lanes.sizes
-        for name, value in zip(self.__slots__, (ids, sizes, machines, lanes)):
+        for name, value in zip(self.__slots__, (ids, machines, lanes)):
             object.__setattr__(self, name, value)
 
     def __reduce__(self) -> tuple:
@@ -581,6 +578,14 @@ class Instance(_Frozen):
         return tuple(self._ids)
 
     @property
+    def sizes(self) -> tuple[Time, ...]:
+        lanes = self.lanes
+        if not lanes.scale:
+            return lanes.sizes
+        time_of = dict(zip(lanes.distinct, map(lanes.time, lanes.distinct)))
+        return tuple(map(time_of.__getitem__, lanes.sizes))
+
+    @property
     def jobs(self) -> tuple[Job, ...]:
         return tuple(map(Job, self._ids, self.sizes))
 
@@ -589,7 +594,8 @@ class Instance(_Frozen):
             k = self._ids.index(job_id)
         except ValueError:
             raise KeyError(job_id) from None
-        return Job(self._ids[k], self.sizes[k])
+        lanes = self.lanes
+        return Job(self._ids[k], lanes.time(lanes.sizes[k]))
 
     def __len__(self) -> int:
         return len(self._ids)

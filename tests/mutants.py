@@ -158,6 +158,83 @@ MUTANTS = (
             "test_cli.py::test_verify_reports_undecided_trials_on_stderr_only",
         ),
     ),
+    Mutant(
+        "Instance.sizes is the lane column on int lanes too",
+        "model.py",
+        "if not lanes.scale:",
+        "if True:",
+        (
+            "test_model.py::test_model_types_pickle_and_copy_through_their_constructors",
+            "test_model.py::test_from_sizes_hashes_each_size_once",
+            "test_model.py::test_sqrt2_sizes_are_the_lane_column",
+            "test_model.py::test_job_reads_one_lane_and_builds_no_size_column",
+            "test_model.py::test_from_sizes_checks_each_distinct_size_once",
+            "test_model.py::test_instance_file_integer_forms_still_read",
+            "test_model.py::test_failed_save_instance_names_the_destination_not_the_temp_file",
+            "test_properties.py::test_from_sizes_matches_building_each_job",
+            "test_properties.py::test_instance_files_are_ascii_and_parse_back",
+            "test_properties.py::test_instance_digest_is_hashlib_sha256_of_the_file_text",
+            "test_properties.py::test_ids_other_than_1_to_n_score_as_their_renumbering",
+            "test_harness.py::test_exact_optimum_below_the_greedy_makespan_is_an_invariant_violation",
+            "test_harness.py::test_untagged_report_uses_digest_label",
+            "test_harness.py::test_instance_digest_looks_its_sha256_up_once",
+            "test_harness.py::test_instance_digest_falls_back_to_hashlib_without_cpythons_sha256",
+            "test_harness.py::test_an_instance_is_its_three_columns_before_and_after_use",
+            "test_harness.py::test_verify_bound_catches_a_bad_policy",
+            "test_records.py::test_verify_hashes_only_the_printed_witness",
+            "test_records.py::test_bound_violation_reads_its_counterexample_from_the_report",
+            "test_records.py::test_bound_violation_survives_pickling",
+            "test_records.py::test_report_derives_what_it_does_not_store",
+            "test_records.py::test_record_repr_equality_hash_and_immutability",
+            "test_cli.py::test_readme_console_examples",
+            "test_cli.py::test_a_seed_and_its_negation_draw_the_same_trials",
+            "test_cli.py::test_run_instance_file",
+            "test_cli.py::test_run_instance_certified_at_a_whole_unit",
+            "test_cli.py::test_a_zero_node_budget_keeps_only_the_lpt_certificate",
+            "test_cli.py::test_run_instance_deeper_than_the_recursion_limit",
+            "test_cli.py::test_run_worst_order_takes_the_search_options",
+            "test_cli.py::test_given_and_as_listed_orders_print_the_same_bytes",
+            "test_cli.py::test_integer_options_take_leading_zeros_a_minus_and_ascii_padding",
+            "test_cli.py::test_instance_file_with_crlf_line_ends_reads_as_its_newline_twin",
+            "test_cli.py::test_reused_parser_prints_what_a_fresh_parser_prints",
+            "test_cli.py::test_verify_exits_1_when_the_bound_fails",
+            "test_cli.py::test_verify_reports_clean_run",
+            "test_cli.py::test_verify_reports_undecided_trials_on_stderr_only",
+            "test_cli.py::test_readme_verify_run_prints_five_pinned_lines",
+            "test_cli.py::test_verify_size_range_must_not_be_empty",
+            "test_cli.py::test_verify_takes_the_contract_limits",
+            "test_cli.py::test_values_past_the_int_digit_limit_print_exactly",
+            "test_cli.py::test_verify_digests_without_loading_openssl",
+        ),
+    ),
+    Mutant(
+        "Instance.sizes builds one Time per job",
+        "model.py",
+        "tuple(map(time_of.__getitem__, lanes.sizes))",
+        "tuple(map(lanes.time, lanes.sizes))",
+        (
+            "test_model.py::test_a_pickled_instance_numbered_1_to_n_stores_each_size_once",
+            "test_model.py::test_from_sizes_checks_each_distinct_size_once",
+        ),
+    ),
+    Mutant(
+        "Instance.job reads the lane before its own",
+        "model.py",
+        "lanes.time(lanes.sizes[k])",
+        "lanes.time(lanes.sizes[k - 1])",
+        (
+            "test_model.py::test_instance_invariants",
+            "test_model.py::test_job_reads_one_lane_and_builds_no_size_column",
+            "test_model.py::test_instance_ids_in_any_order_and_their_duplicates",
+            "test_harness.py::test_an_instance_is_its_three_columns_before_and_after_use",
+            "test_online.py::test_schedule_and_trace_are_consistent",
+            "test_online.py::test_prefix_of_order_gives_prefix_of_trace",
+            "test_online.py::test_greedy_balance_invariant",
+            "test_properties.py::test_kernel_matches_reference_scan",
+            "test_properties.py::test_coded_search_matches_plain_enumeration",
+            "test_properties.py::test_sampled_search_draws_the_ranks_of_the_sizes",
+        ),
+    ),
 )
 
 

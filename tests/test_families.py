@@ -172,10 +172,10 @@ def test_a_bad_run_size_is_refused_as_from_sizes_refuses_it(bad):
         assert str(got.value) == "job 4 must have positive size"
 
 
-def test_scoring_class2_peaks_under_40_bytes_a_job():
+def test_scoring_class2_peaks_under_20_bytes_a_job():
     """Building and scoring class2 at m=300 (89,701 jobs) allocates under
-    40 bytes a job at its peak, the cap's premise (about 25 here: the lane
-    and size columns and the listed order's run of units)."""
+    20 bytes a job at its peak, the cap's premise (about 17 here: the lane
+    column and the listed order's run of units)."""
     competitive_ratio(gen_class2(3).instance, family_tag="class2")  # warm up
     tracemalloc.start()
     try:
@@ -185,7 +185,7 @@ def test_scoring_class2_peaks_under_40_bytes_a_job():
     finally:
         tracemalloc.stop()
     assert report.alg_makespan == fam.predicted_lsa
-    assert peak < 40 * len(fam.instance), peak / len(fam.instance)
+    assert peak < 20 * len(fam.instance), peak / len(fam.instance)
 
 
 def test_machine_counts_too_large_for_a_family_are_refused():

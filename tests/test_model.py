@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from listsched import model
+from listsched.families import gen_class2
 from listsched.model import (
     SQRT2,
     ArrivalOrder,
@@ -463,14 +464,37 @@ def test_sqrt2_sizes_are_the_lane_column():
     assert rational.lanes.sizes == (2, 1, 2)
 
 
+def test_job_reads_one_lane_and_builds_no_size_column(monkeypatch):
+    """job(id) turns the one lane value it needs into a Time, so looking
+    a job up never builds the m^2-long size column."""
+    instances = (
+        gen_class2(300).instance,
+        Instance.from_sizes([1, Time(1, 1), "1/2", Time(1, 1)], 2),
+        Instance((Job(5, "1/3"), Job(2, 4), Job(9, "1/3"), Job(1, 7)), 2),
+    )
+    # the first, a middle and the last job of each
+    picks = [(inst, k) for inst in instances for k in (0, len(inst) // 2, -1)]
+    expected = [Job(inst.job_ids[k], inst.sizes[k]) for inst, k in picks]
+
+    def no_column(self):
+        raise AssertionError("job() read the size column")
+
+    monkeypatch.setattr(Instance, "sizes", property(no_column))
+    assert [inst.job(inst.job_ids[k]) for inst, k in picks] == expected
+    for inst in instances:
+        with pytest.raises(KeyError):
+            inst.job(10**6)
+
+
 def test_from_sizes_checks_each_distinct_size_once():
     inst = Instance.from_sizes([2, "1/2", 2, Fraction(1, 2), Time(2), 7], 3)
     assert list(inst) == [
         Job(i, Time(s))
         for i, s in enumerate([2, Fraction(1, 2), 2, Fraction(1, 2), 2, 7], start=1)
     ]
-    # equal sizes share one checked Time; every job is a plain Job
-    assert inst.jobs[0].size is inst.jobs[2].size is inst.jobs[4].size
+    # within one read, equal sizes share one Time; every job is a plain Job
+    jobs = inst.jobs
+    assert jobs[0].size is jobs[2].size is jobs[4].size
     assert all(type(job) is Job for job in inst)
     with pytest.raises(ValueError, match="job 2 must have positive size"):
         Instance.from_sizes([1, 0, 0], 2)
